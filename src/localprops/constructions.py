@@ -79,11 +79,16 @@ def color_budget(n: int, spec: LocalSpec) -> int:
     if q <= 0:
         raise ValueError("exponent denominator C(k,2) - ell + 1 must be positive")
     target = n**p
-    # smallest x with x^q >= n^p, found exactly from a float seed
-    x = max(1, int(round(target ** (1.0 / q))) - 2)
-    while x**q < target:
-        x += 1
-    return x
+    # smallest x with x^q >= n^p, by bisection on integers: (2^ceil(b/q))^q
+    # >= 2^b > target, where b is target's bit length
+    lo, hi = 1, 1 << -(-target.bit_length() // q)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**q >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def estimate_property_probability(

@@ -7,6 +7,9 @@ integer set   a sorted array of integers, or a certificate object
 point set     an array of [x, y] integer pairs.
 set system    {"n": int, "sets": [[int, ...], ...], "d": int}.
 
+Integer fields are checked with `type(v) is int`: JSON true/false load
+as bool, an int subclass, and are rejected wherever an integer is due.
+
 Writers emit canonical bytes (sorted keys, fixed separators, trailing
 newline) so identical data always produces identical files.
 """
@@ -49,9 +52,9 @@ def load_coloring(path) -> ColoredCompleteGraph:
     if not isinstance(data, dict) or "n" not in data or "colors" not in data:
         raise ValueError(f"{path}: coloring files need 'n' and 'colors' fields")
     n, colors = data["n"], data["colors"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"{path}: 'n' must be a positive integer")
-    if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
+    if not isinstance(colors, list) or not all(type(c) is int for c in colors):
         raise ValueError(f"{path}: 'colors' must be an array of integers")
     if len(colors) != edge_count(n):
         raise ValueError(
@@ -68,7 +71,7 @@ def load_integer_set(path) -> tuple[int, ...]:
     data = _read(path)
     if isinstance(data, dict) and "set" in data:
         data = data["set"]
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list) or not all(type(v) is int for v in data):
         raise ValueError(f"{path}: integer-set files are arrays of integers")
     return integer_set(data)
 
@@ -82,7 +85,7 @@ def load_point_set(path) -> tuple[tuple[int, int], ...]:
     ok = isinstance(data, list) and all(
         isinstance(p, list)
         and len(p) == 2
-        and all(isinstance(v, int) for v in p)
+        and all(type(v) is int for v in p)
         for p in data
     )
     if not ok:
@@ -99,10 +102,10 @@ def load_set_system(path) -> SetSystem:
     if not isinstance(data, dict) or not {"n", "sets", "d"} <= set(data):
         raise ValueError(f"{path}: set-system files need 'n', 'sets' and 'd'")
     n, sets, d = data["n"], data["sets"], data["d"]
-    if not isinstance(n, int) or not isinstance(d, int):
+    if type(n) is not int or type(d) is not int:
         raise ValueError(f"{path}: 'n' and 'd' must be integers")
     if not isinstance(sets, list) or not all(
-        isinstance(s, list) and all(isinstance(v, int) for v in s) for s in sets
+        isinstance(s, list) and all(type(v) is int for v in s) for s in sets
     ):
         raise ValueError(f"{path}: 'sets' must be an array of integer arrays")
     return SetSystem(n, tuple(frozenset(s) for s in sets), d)

@@ -10,12 +10,24 @@ bound distinct_so_far + unassigned_edges >= ell; at the subset's last
 edge the bound is its exact color count, so the pruned search is
 verdict-identical to an unpruned scan.
 
+The search state is one int bitmask of colors per k-subset and step,
+held in a flat list of slots.  A k-subset {j} | U (j its largest vertex)
+is checked at each edge (u, j), u in U; that check ORs the new color's
+bit into the mask its previous step left in another slot and compares
+the mask's popcount (int.bit_count, Python >= 3.10) with ell minus the
+subset's open edges.  Before the first such step the mask holds the
+colors of the C(k-1,2) edges inside U, filled into a base slot when the
+search enters vertex max(U)+1.  Nothing is undone on backtrack: a check
+reads only slots written earlier on the current path, and re-entering a
+position rewrites them.
+
 min_colors() walks c upward from the multiplicity lower bound, when one
 applies (if C(k,2)-ell+1 <= floor(k/2)-1, every color is capped at
 C(k,2)-ell+1 repeats, so at least ceil(C(n,2)/cap) colors are needed),
-and from 1 otherwise.  Because colors branch in ascending order, the
-first coloring found at the optimal level is the lexicographically
-least one in assignment order.
+and from 1 otherwise.  It builds the slot table once per solve and hands
+it to every level.  Because colors branch in ascending order, the first
+coloring found at the optimal level is the lexicographically least one
+in assignment order.
 """
 
 from __future__ import annotations
@@ -33,8 +45,8 @@ __all__ = ["SolveBudget", "FeasibleOutcome", "SolveResult", "feasible", "min_col
 @dataclass(frozen=True)
 class SolveBudget:
     """node_limit caps DFS assignments per feasibility level; time_limit_s
-    caps the whole solve (wall clock, so time-limited runs are not
-    byte-reproducible; node-limited ones are)."""
+    caps the whole solve, building the subset table included (wall clock,
+    so time-limited runs are not byte-reproducible; node-limited ones are)."""
 
     node_limit: int | None = None
     time_limit_s: float | None = None
@@ -75,28 +87,55 @@ def _assignment_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _subset_checks(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """For each assignment position, the k-subsets whose state changes.
+_Table = tuple[list[list[tuple[int, tuple[int, ...]]]], list[list[tuple[int, int, int]]], int]
 
-    Assigning edge (i, j) affects subsets {j} | U with U a (k-1)-subset
-    of {0..j-1} containing i: their assigned edges are everything within
-    U plus (u, j) for u <= i, and #{u in U : u > i} edges are still open.
-    Stored as (positions of assigned edges, open count).
+
+def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table:
+    """Slot table for the DFS: (fills, checks, slot count).
+
+    Assigning edge (i, j) changes the k-subsets {j} | U with U a
+    (k-1)-subset of {0..j-1} containing i; #{u in U : u > i} of their
+    edges are still open.  checks[p] holds one (slot, prev, need) per
+    such subset: the subset's color mask after this edge goes into slot,
+    prev is the slot holding it before, and need = ell - open.  At the
+    subset's first step (i = min U) prev is U's base slot; at its last
+    step (i = max U) nothing reads the mask again, so slot is the shared
+    sink 0.  fills[p] holds (base slot, positions of the edges inside U)
+    for every U with max(U) + 1 == j, filled when position p = (0, j) is
+    entered.  Raises _OutOfBudget once deadline passes (checked once per
+    assignment position).
     """
     order = _assignment_order(n)
     pos_of = {e: p for p, e in enumerate(order)}
-    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
+    fills: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    base: dict[tuple[int, ...], int] = {}
+    latest: dict[tuple[int, ...], int] = {}  # slot of U's latest step at this j
+    slots = 1  # slot 0 is the sink
     for p, (i, j) in enumerate(order):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _OutOfBudget
         if j < k - 1:
             continue
-        others = [u for u in range(j) if u != i]
-        for rest in combinations(others, k - 2):
-            u_set = sorted(rest + (i,))
-            assigned = [pos_of[(a, b)] for a, b in combinations(u_set, 2)]
-            assigned += [pos_of[(u, j)] for u in u_set if u <= i]
-            open_edges = sum(1 for u in u_set if u > i)
-            checks[p].append((tuple(assigned), open_edges))
-    return checks
+        if i == 0:
+            for rest in combinations(range(j - 1), k - 2):
+                u_set = rest + (j - 1,)
+                base[u_set] = slots
+                fills[p].append((slots, tuple(pos_of[e] for e in combinations(u_set, 2))))
+                slots += 1
+        # subsets completing at this edge first: they prune the most
+        for step in range(k - 2, -1, -1):
+            for left in combinations(range(i), step):
+                for right in combinations(range(i + 1, j), k - 2 - step):
+                    u_set = left + (i,) + right
+                    prev = base[u_set] if step == 0 else latest.pop(u_set)
+                    if right:
+                        latest[u_set] = slot = slots
+                        slots += 1
+                    else:
+                        slot = 0
+                    checks[p].append((slot, prev, ell - len(right)))
+    return fills, checks, slots
 
 
 def feasible(
@@ -105,12 +144,15 @@ def feasible(
     c: int,
     budget: SolveBudget | None = None,
     deadline: float | None = None,
+    *,
+    _table: _Table | None = None,
 ) -> FeasibleOutcome:
     """Is there a coloring of K_n with at most c colors satisfying spec?
 
     Returns the lexicographically least satisfying assignment (in
     assignment order) as a certificate, re-encoded in the row-major
-    edge index.
+    edge index.  The deadline also bounds building the slot table;
+    min_colors passes one table, built for this (n, spec), to every level.
     """
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
@@ -119,11 +161,16 @@ def feasible(
     if c < spec.ell:
         # some k-subset exists (k <= n) and sees at most c < ell colors
         return FeasibleOutcome("no", None, 0)
+    if _table is None:
+        try:
+            _table = _subset_checks(n, spec.k, spec.ell, deadline)
+        except _OutOfBudget:
+            return FeasibleOutcome("exhausted", None, 0)
+    fills, checks, slots = _table
     order = _assignment_order(n)
-    checks = _subset_checks(n, spec.k)
-    ell = spec.ell
     m = len(order)
     cols = [-1] * m
+    state = [0] * slots
     node_limit = budget.node_limit if budget else None
     nodes = 0
 
@@ -131,6 +178,11 @@ def feasible(
         nonlocal nodes
         if pos == m:
             return True
+        for slot, edges in fills[pos]:
+            mask = 0
+            for q in edges:
+                mask |= 1 << cols[q]
+            state[slot] = mask
         top = min(max_used + 1, c - 1)
         my_checks = checks[pos]
         for col in range(top + 1):
@@ -140,14 +192,15 @@ def feasible(
             if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
                 raise _OutOfBudget
             cols[pos] = col
-            ok = True
-            for positions, open_edges in my_checks:
-                distinct = len({cols[q] for q in positions})
-                if distinct + open_edges < ell:
-                    ok = False
+            bit = 1 << col
+            for slot, prev, need in my_checks:
+                grown = state[prev] | bit
+                if grown.bit_count() < need:
                     break
-            if ok and dfs(pos + 1, max(max_used, col)):
-                return True
+                state[slot] = grown
+            else:
+                if dfs(pos + 1, max(max_used, col)):
+                    return True
         cols[pos] = -1
         return False
 
@@ -155,6 +208,8 @@ def feasible(
         found = dfs(0, -1)
     except _OutOfBudget:
         return FeasibleOutcome("exhausted", None, nodes)
+    finally:
+        dfs = None  # dfs sits in its own closure: break the cycle, free state now
     if not found:
         return FeasibleOutcome("no", None, nodes)
     row_major = [0] * m
@@ -194,8 +249,15 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
     log: list[tuple[int, int, str]] = []
     lower = start
     contiguous = True  # every level in [start, c) certified infeasible
+    table = None  # built at the first level that searches
     for c in range(start, edge_count(n) + 1):
-        out = feasible(n, spec, c, budget, deadline)
+        if table is None and c >= spec.ell:
+            try:
+                table = _subset_checks(n, spec.k, spec.ell, deadline)
+            except _OutOfBudget:
+                log.append((c, 0, "exhausted"))
+                break
+        out = feasible(n, spec, c, budget, deadline, _table=table)
         log.append((c, out.nodes, out.status))
         if out.status == "yes":
             status = "optimal" if contiguous else "bound-only"

@@ -26,6 +26,16 @@ def test_usage_errors_exit_2():
     assert run_cli("construct", "--kind", "random-coloring", "--n", "4").returncode == 2
 
 
+def test_boolean_ids_in_input_exit_2_without_traceback(tmp_path):
+    bad = tmp_path / "bool.json"
+    for data in ({"n": True, "colors": []}, {"n": 3, "colors": [True, False, 0]}):
+        bad.write_text(json.dumps(data))
+        proc = run_cli("verify-coloring", "--input", str(bad), "--k", "2", "--ell", "1")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "integer" in proc.stderr
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

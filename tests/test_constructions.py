@@ -67,6 +67,35 @@ def test_color_budget_examples():
     assert color_budget(7, LocalSpec(2, 1)) == 1  # zero exponent
 
 
+def test_color_budget_is_least_integer_root():
+    # the least x with x^q >= n^p; checked against a linear scan where the
+    # value is small, and by the minimality pair x^q >= n^p > (x-1)^q always
+    for n in range(1, 201):
+        for k in range(2, 7):
+            for ell in range(1, k * (k - 1) // 2 + 1):
+                p, q = k - 2, k * (k - 1) // 2 - ell + 1
+                x = color_budget(n, LocalSpec(k, ell))
+                assert x >= 1 and x**q >= n**p
+                assert x == 1 or (x - 1) ** q < n**p, (n, k, ell, x)
+                if x <= 200:
+                    scan = 1
+                    while scan**q < n**p:
+                        scan += 1
+                    assert x == scan, (n, k, ell, x, scan)
+
+
+def test_color_budget_huge_n_is_exact():
+    n = 10**200
+    assert color_budget(n, LocalSpec(5, 10)) == n**3  # n^(3/1)
+    assert color_budget(n, LocalSpec(4, 6)) == n**2  # n^(2/1)
+    assert color_budget(n, LocalSpec(4, 5)) == n  # n^(2/2)
+    assert color_budget(n, LocalSpec(3, 2)) == 10**100  # n^(1/2)
+    x = color_budget(n, LocalSpec(6, 1))  # ceil(n^(4/15))
+    assert x**15 >= n**4 > (x - 1) ** 15
+    x = color_budget(n + 1, LocalSpec(4, 4))  # ceil((n+1)^(2/3))
+    assert x**3 >= (n + 1) ** 2 > (x - 1) ** 3
+
+
 def test_color_budget_denominator_guard():
     bogus = SimpleNamespace(k=4, ell=8)  # ell beyond C(4,2): denominator <= 0
     with pytest.raises(ValueError):

@@ -49,6 +49,25 @@ def test_coloring_load_rejects_malformed(tmp_path):
             load_coloring(f)
 
 
+def test_loaders_reject_json_booleans_as_integers(tmp_path):
+    # bool is an int subclass in Python, but true/false are not JSON integers
+    f = tmp_path / "bad.json"
+    cases = [
+        (load_coloring, {"n": True, "colors": []}),
+        (load_coloring, {"n": 3, "colors": [True, False, 0]}),
+        (load_integer_set, [1, True]),
+        (load_integer_set, {"set": [False, 2]}),
+        (load_point_set, [[0, 0], [True, 1]]),
+        (load_set_system, {"n": True, "sets": [[0]], "d": 1}),
+        (load_set_system, {"n": 3, "sets": [[0]], "d": False}),
+        (load_set_system, {"n": 3, "sets": [[0, True]], "d": 1}),
+    ]
+    for loader, data in cases:
+        f.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            loader(f)
+
+
 def test_integer_set_roundtrip_and_certificate_shape(tmp_path):
     f = tmp_path / "s.json"
     save_integer_set(f, [4, 1, 4, 2])

@@ -1,4 +1,8 @@
+import gc
+import time
+from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -12,6 +16,8 @@ from localprops import (
     verify_local_property,
 )
 from oracles import brute_min_colors_table, brute_verdict
+
+oracle_table = lru_cache(brute_min_colors_table)  # n=5 scans ~116k partitions
 
 
 def test_feasible_examples():
@@ -42,13 +48,82 @@ def test_min_colors_triangle_table():
 
 def test_min_colors_matches_partition_oracle_small():
     for n in (3, 4, 5):
-        table = brute_min_colors_table(n)
+        table = oracle_table(n)
         for (k, ell), want in sorted(table.items()):
             res = min_colors(n, LocalSpec(k, ell))
             assert want is not None, (n, k, ell)  # rainbow always qualifies
             assert res.status == "optimal"
             assert res.value == want, (n, k, ell, res.value, want)
             assert verify_local_property(res.certificate, LocalSpec(k, ell)).holds
+
+
+def test_feasible_matches_partition_oracle_at_every_level():
+    # every level, not just the optimum: yes exactly from the oracle's
+    # value upward, and each certificate passes the unpruned scan
+    for n in range(2, 6):
+        for (k, ell), want in sorted(oracle_table(n).items()):
+            for c in range(1, comb(n, 2) + 1):
+                out = feasible(n, LocalSpec(k, ell), c)
+                assert out.status == ("yes" if c >= want else "no"), (n, k, ell, c)
+                if out.status == "yes":
+                    assert out.certificate.num_colors <= c
+                    assert brute_verdict(out.certificate, k, ell)[0], (n, k, ell, c)
+
+
+def test_search_is_pinned_level_by_level():
+    # exact per-level node counts: any change to branch order, symmetry
+    # breaking, pruning or node counting shows up here
+    zero = [(c, 0, "no") for c in range(1, 5)]
+    res = min_colors(7, LocalSpec(4, 5))
+    assert res.log == tuple(zero + [(5, 1767, "no"), (6, 56124, "no"), (7, 149, "yes")])
+    assert res.certificate.edge_colors == (
+        0, 0, 2, 2, 3, 3, 1, 3, 4, 5, 6, 4, 5, 6, 2, 6, 1, 5, 0, 1, 4
+    )
+    res = min_colors(7, LocalSpec(3, 3), SolveBudget(node_limit=1000))
+    assert res.log == (
+        (1, 0, "no"), (2, 0, "no"), (3, 18, "no"), (4, 70, "no"),
+        (5, 502, "no"), (6, 1001, "exhausted"), (7, 84, "yes"),
+    )
+    res = min_colors(9, LocalSpec(5, 9), SolveBudget(node_limit=20000))
+    assert res.log == tuple(
+        [(c, 0, "no") for c in range(1, 9)]
+        + [(9, 3820, "no"), (10, 8587, "no"), (11, 17336, "no")]
+        + [(c, 20001, "exhausted") for c in range(12, 23)]
+        + [(23, 683, "yes")]
+    )
+    assert (res.status, res.value, res.lower_bound) == ("bound-only", 23, 12)
+
+
+def test_time_budget_covers_preprocessing():
+    # the (n=22, k=6) subset table alone takes longer than the budget, so
+    # the solve must stop inside the build, not after it
+    t0 = time.monotonic()
+    res = min_colors(22, LocalSpec(6, 12), SolveBudget(time_limit_s=0.2))
+    assert time.monotonic() - t0 < 1.0
+    assert res.status == "budget-exhausted"
+    assert res.value is None and res.certificate is None
+    # levels 1..11 are refuted without search; level 12 builds the table
+    assert res.log[-1][::2] == (12, "exhausted")
+    assert res.lower_bound == 12
+    # a budget far below the build time stops inside the build, before
+    # the first search node, in min_colors and in a direct feasible call
+    res = min_colors(22, LocalSpec(6, 12), SolveBudget(time_limit_s=0.02))
+    assert res.log[-1] == (12, 0, "exhausted")
+    out = feasible(22, LocalSpec(6, 12), 12, deadline=time.monotonic() + 0.02)
+    assert (out.status, out.nodes) == ("exhausted", 0)
+
+
+def test_feasible_frees_its_search_state():
+    # the recursive search must not leave a reference cycle behind: a
+    # long node-limited solve would otherwise hold one state list per level
+    gc.collect()
+    gc.disable()
+    try:
+        for budget in (None, SolveBudget(node_limit=5)):
+            feasible(6, LocalSpec(3, 3), 5, budget)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_min_colors_optimality_invariant():
