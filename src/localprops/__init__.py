@@ -38,6 +38,7 @@ from .energy import (
     DyadicProfile,
     bound_report,
     crossover_index,
+    dyadic_bins,
     dyadic_profile,
     energy_decomposition,
 )

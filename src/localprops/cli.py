@@ -32,7 +32,7 @@ import argparse
 import csv
 import io as _io
 import sys
-from collections import Counter
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -45,7 +45,7 @@ from .constructions import (
     estimate_property_probability,
     random_coloring,
 )
-from .energy import bound_report, dyadic_profile, energy_decomposition
+from .energy import bound_report, dyadic_bins, dyadic_profile
 from .forbidden import DetectorParams, counting_lemma_find, lemma_hypothesis_holds
 from .io import (
     dump_json,
@@ -304,11 +304,9 @@ def _cmd_solve_g(args) -> int:
 
 def _cmd_energy(args) -> int:
     G = load_coloring(args.input)
-    contributions, total = energy_decomposition(G)
+    bins, contributions = dyadic_bins(G)
+    total = sum(contributions)
     cs = cauchy_schwarz_floor(G) if G.num_colors else None
-    bins = [0] * len(contributions)
-    for mult in Counter(G.edge_colors).values():
-        bins[mult.bit_length() - 1] += 1
     rows = [
         {"j": j, "bin_count": bc, "contribution": contrib}
         for j, (bc, contrib) in enumerate(zip(bins, contributions))
@@ -447,14 +445,21 @@ def build_parser() -> argparse.ArgumentParser:
                 help="worker cap; results never depend on it",
             )
 
-    for name in ["verify-coloring", "verify-diffset", "verify-distances"]:
+    verifiers = {
+        "verify-coloring": _cmd_verify_coloring,
+        "verify-diffset": _cmd_verify_diffset,
+        "verify-distances": _cmd_verify_distances,
+    }
+    for name, cmd in verifiers.items():
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} against a (k, ell) spec")
+        p.set_defaults(func=cmd)
         p.add_argument("--input", required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--ell", type=int, required=True)
         common(p)
 
     p = sub.add_parser("construct", help="generators and the probability estimator")
+    p.set_defaults(func=partial(_cmd_construct, parser=parser))
     p.add_argument(
         "--kind",
         required=True,
@@ -477,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("solve-f", help="exact minimum color count with certificate")
+    p.set_defaults(func=_cmd_solve_f)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -487,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("solve-g", help="exact minimum difference-set size over a capped range")
+    p.set_defaults(func=_cmd_solve_g)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -496,11 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("energy", help="color energy, its floor, and the dyadic split")
+    p.set_defaults(func=_cmd_energy)
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
 
     p = sub.add_parser("profile", help="dyadic profile and per-j bound report")
+    p.set_defaults(func=_cmd_profile)
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -510,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("lemma-check", help="search a set system for a dense d-wise intersection")
+    p.set_defaults(func=_cmd_lemma_check)
     p.add_argument("--input", required=True)
     common(p)
 
@@ -522,28 +532,10 @@ def main(argv=None) -> int:
     if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
         parser.error("--threads must be at least 1")
     try:
-        if args.subcommand == "verify-coloring":
-            return _cmd_verify_coloring(args)
-        if args.subcommand == "verify-diffset":
-            return _cmd_verify_diffset(args)
-        if args.subcommand == "verify-distances":
-            return _cmd_verify_distances(args)
-        if args.subcommand == "construct":
-            return _cmd_construct(args, parser)
-        if args.subcommand == "solve-f":
-            return _cmd_solve_f(args)
-        if args.subcommand == "solve-g":
-            return _cmd_solve_g(args)
-        if args.subcommand == "energy":
-            return _cmd_energy(args)
-        if args.subcommand == "profile":
-            return _cmd_profile(args)
-        if args.subcommand == "lemma-check":
-            return _cmd_lemma_check(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"localprops: error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -7,14 +7,27 @@ shared by every module and by the JSON coloring format).  Color ids are
 dense: the ids in use are exactly 0..num_colors-1.
 
 A (k, ell) local property asks that every induced subgraph on k vertices
-span at least ell distinct edge colors.  The color energy sum(m_c^2),
-i.e. the number of ordered pairs of unordered edges sharing a color, is
-the second-moment statistic that connects color multiplicities to that
-property.  Everything here is exact integer arithmetic.
+span at least ell distinct edge colors.  The difference and distance
+properties of numbersets reduce exactly to it, so verify_local_property
+is the one verifier core.  It runs a depth-first scan over k-subsets in
+lexicographic order on int bitmask color sets: a search level with
+prefix P keeps, for every later vertex w, the mask row of the colors on
+the edges from P to w, and a child level ORs its parent's rows with one
+contiguous row slice of edge_colors (row-major storage keeps the edges
+(v, w), w > v, side by side).  A candidate's color count is then one
+bit_count().  A level checks its first candidate bit by bit and builds
+its rows only once it moves past it, so a scan that fails on its first
+k-subset costs O(k^2) lookups.
+
+The color energy sum(m_c^2), i.e. the number of ordered pairs of
+unordered edges sharing a color, is the second-moment statistic that
+connects color multiplicities to that property.  Everything here is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -155,6 +168,77 @@ def subset_color_count(G: ColoredCompleteGraph, subset) -> int:
     return len(seen)
 
 
+def _first_failure(n: int, edge_colors, num_colors: int, k: int, ell: int):
+    """(witness, count) for the lexicographically least k-subset of K_n
+    spanning fewer than ell colors, or None.
+
+    Edge (u, w), u < w, is edge_colors[at(u) + w] with at(u) = u*n -
+    u*(u+1)//2 - u - 1.  A level extends prefix by each candidate v in
+    [start, stop); the mask row of a vertex w >= start is base[w - base_lo]
+    ORed with the color bits of the edges from the vertices in pending
+    (the tail of prefix that base does not cover yet) to w.
+    """
+    bit = [1 << c for c in range(num_colors)].__getitem__
+    or_ = operator.or_
+
+    def level(prefix, colors, start, base, base_lo, pending):
+        depth = len(prefix) + 1
+        stop = n - k + depth
+        # the first candidate, bit by bit; its child inherits base and pending
+        row = base[start - base_lo] if base is not None else 0
+        for u in pending:
+            row |= 1 << edge_colors[u * n - u * (u + 1) // 2 - u - 1 + start]
+        grown = colors | row
+        count = grown.bit_count()
+        if count < ell:
+            if depth == k:
+                return prefix + (start,), count
+            hit = level(prefix + (start,), grown, start + 1, base, base_lo, pending + (start,))
+            if hit is not None:
+                return hit
+        lo = start + 1
+        if lo == stop:
+            return None
+        # moving past it: the mask rows of lo..n-1, one map per pending row
+        rows = base[lo - base_lo :] if base is not None else None
+        for u in pending:
+            at = u * n - u * (u + 1) // 2 - u - 1
+            bits = map(bit, edge_colors[at + lo : at + n])
+            rows = bits if rows is None else map(or_, rows, bits)
+        if depth == k:
+            for v, row in zip(range(lo, n), rows):
+                row |= colors
+                if row.bit_count() < ell:
+                    return prefix + (v,), row.bit_count()
+            return None
+        masks = list(rows)
+        if depth + 1 < k:
+            for v in range(lo, stop):
+                grown = colors | masks[v - lo]
+                if grown.bit_count() < ell:  # else colors only accumulate: no completion fails
+                    hit = level(prefix + (v,), grown, v + 1, masks, lo, (v,))
+                    if hit is not None:
+                        return hit
+            return None
+        # the candidates' children are the leaves: scan them in place
+        for v in range(lo, stop):
+            grown = colors | masks[v - lo]
+            if grown.bit_count() < ell:
+                at = v * n - v * (v + 1) // 2 - v - 1
+                leaves = map(or_, masks[v + 1 - lo :], map(bit, edge_colors[at + v + 1 : at + n]))
+                for w, row in zip(range(v + 1, n), leaves):
+                    row |= grown
+                    if row.bit_count() < ell:
+                        return prefix + (v, w), row.bit_count()
+        return None
+
+    for v in range(n - k + 1):
+        hit = level((v,), 0, v + 1, None, 0, (v,))
+        if hit is not None:
+            return hit
+    return None
+
+
 def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyVerdict:
     """Check whether every k-subset of vertices spans >= ell colors.
 
@@ -163,32 +247,24 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     subset can only add colors, so none of its completions can fail.
     The pruning is verdict-identical to a full scan, and the first
     failure found is the lexicographically least one.
+
+    Color sets are int bitmasks.  Each search level keeps one mask row
+    per later vertex (the colors on the edges from the prefix to it), so
+    a candidate costs one OR and one bit_count(), and a child level costs
+    one pass that ORs its parent's rows with a contiguous row slice of
+    edge_colors.  A level checks its first candidate edge by edge and
+    builds its rows only when it moves past that candidate, so a scan
+    that fails on its first k-subset stays O(k^2).  The subsets visited,
+    their order, the pruning rule and the counts are those of a plain set
+    scan, so the verdict, the witness and witness_colors are unchanged.
     """
     n, k, ell = G.n, spec.k, spec.ell
     if k > n:
         raise ValueError(f"k={k} exceeds vertex count n={n}: infeasible query")
-
-    color = G.color
-
-    def extend(prefix: tuple, colors: frozenset, start: int):
-        # last admissible start still leaves room for k - len(prefix) picks
-        for v in range(start, n - (k - len(prefix)) + 1):
-            grown = colors | {color(u, v) for u in prefix}
-            if len(prefix) + 1 == k:
-                if len(grown) < ell:
-                    return prefix + (v,), len(grown)
-                continue
-            if len(grown) >= ell:
-                continue  # colors only accumulate: no completion can fail
-            hit = extend(prefix + (v,), grown, v + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    hit = extend((), frozenset(), 0)
+    hit = _first_failure(n, G.edge_colors, G.num_colors, k, ell)
     if hit is None:
         return PropertyVerdict(True)
-    return PropertyVerdict(False, hit[0], hit[1])
+    return PropertyVerdict(False, *hit)
 
 
 def color_histogram(G: ColoredCompleteGraph) -> Counter:

@@ -35,17 +35,24 @@ __all__ = [
     "crossover_index",
     "bound_report",
     "energy_decomposition",
+    "dyadic_bins",
 ]
 
 
-def _bin_counts(G: ColoredCompleteGraph) -> list[int]:
+def dyadic_bins(G: ColoredCompleteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(bin_count, contributions): per dyadic bin j, the number of colors
+    with multiplicity in [2^j, 2^(j+1)) and the sum of their m_c^2.  Both
+    end at the top nonempty bin and are empty for an edgeless graph."""
     hist = color_histogram(G)
     if not hist:
-        return []
-    bins = [0] * max(m.bit_length() for m in hist.values())
+        return (), ()
+    top = max(hist.values()).bit_length()
+    counts, squares = [0] * top, [0] * top
     for m in hist.values():
-        bins[m.bit_length() - 1] += 1
-    return bins
+        j = m.bit_length() - 1
+        counts[j] += 1
+        squares[j] += m * m
+    return tuple(counts), tuple(squares)
 
 
 def crossover_index(n: int, p: DetectorParams) -> int:
@@ -70,11 +77,11 @@ class DyadicProfile:
 
 
 def dyadic_profile(G: ColoredCompleteGraph, p: DetectorParams) -> DyadicProfile:
-    bins = _bin_counts(G)
+    bins, _ = dyadic_bins(G)
     cums = list(bins)
     for j in range(len(cums) - 2, -1, -1):
         cums[j] += cums[j + 1]
-    return DyadicProfile(tuple(bins), tuple(cums), crossover_index(G.n, p))
+    return DyadicProfile(bins, tuple(cums), crossover_index(G.n, p))
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,5 @@ def energy_decomposition(G: ColoredCompleteGraph) -> tuple[tuple[int, ...], int]
     [2^j, 2^(j+1)); every nonempty bin stays strictly below
     bin_count[j] * 2^(2j+2), and the total equals color_energy(G).
     """
-    hist = color_histogram(G)
-    if not hist:
-        return (), 0
-    contrib = [0] * max(m.bit_length() for m in hist.values())
-    for m in hist.values():
-        contrib[m.bit_length() - 1] += m * m
-    return tuple(contrib), sum(contrib)
+    _, contrib = dyadic_bins(G)
+    return contrib, sum(contrib)

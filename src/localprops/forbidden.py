@@ -73,17 +73,22 @@ class DetectorParams:
         return LocalSpec(kk, comb(kk, 2) - self.b * self.a + self.b + 1)
 
 
+def _mono_degrees(G: ColoredCompleteGraph) -> dict[tuple[int, int], int]:
+    """Same-colored edge count at every (vertex, color) pair that has one."""
+    counts: dict[tuple[int, int], int] = {}
+    for (i, j), c in zip(edge_pairs(G.n), G.edge_colors):
+        counts[(i, c)] = counts.get((i, c), 0) + 1
+        counts[(j, c)] = counts.get((j, c), 0) + 1
+    return counts
+
+
 def max_mono_degree(G: ColoredCompleteGraph):
     """Max over (vertex, color) of same-colored edges at the vertex.
 
     Returns (max, [(vertex, color, count), ...]) listing every attaining
     pair in (vertex, color) order; (0, []) for an edgeless graph.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for i, j in edge_pairs(G.n):
-        c = G.color(i, j)
-        counts[(i, c)] = counts.get((i, c), 0) + 1
-        counts[(j, c)] = counts.get((j, c), 0) + 1
+    counts = _mono_degrees(G)
     if not counts:
         return 0, []
     top = max(counts.values())
@@ -94,12 +99,7 @@ def max_mono_degree(G: ColoredCompleteGraph):
 def mono_degree_violations(G: ColoredCompleteGraph, p: DetectorParams) -> list[tuple[int, int]]:
     """All (vertex, color) with at least b*a-b+1 same-colored incident edges."""
     threshold = p.mono_degree_cap + 1
-    counts: dict[tuple[int, int], int] = {}
-    for i, j in edge_pairs(G.n):
-        c = G.color(i, j)
-        counts[(i, c)] = counts.get((i, c), 0) + 1
-        counts[(j, c)] = counts.get((j, c), 0) + 1
-    return sorted(vc for vc, k in counts.items() if k >= threshold)
+    return sorted(vc for vc, k in _mono_degrees(G).items() if k >= threshold)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class ColorSupport:
 
 def _support_masks(G: ColoredCompleteGraph) -> list[int]:
     masks = [0] * G.num_colors
-    for i, j in edge_pairs(G.n):
-        masks[G.color(i, j)] |= (1 << i) | (1 << j)
+    for (i, j), c in zip(edge_pairs(G.n), G.edge_colors):
+        masks[c] |= (1 << i) | (1 << j)
     return masks
 
 

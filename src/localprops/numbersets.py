@@ -11,7 +11,10 @@ The two reductions build a complete graph whose vertices are the set
 elements (in ascending order) or the points (in input order), with one
 color per distinct positive difference or squared distance.  Local
 difference/distance properties of the set then coincide exactly with
-the local color property of the graph.
+the local color property of the graph, so the direct verifiers are the
+reductions: verify_diff_local_property and verify_distance_local_property
+validate their input, reduce, run coloring.verify_local_property and map
+the witness's vertex indices back to elements or points.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coloring import ColoredCompleteGraph, LocalSpec, PropertyVerdict
+from .coloring import ColoredCompleteGraph, LocalSpec, PropertyVerdict, verify_local_property
 
 __all__ = [
     "integer_set",
@@ -79,10 +82,6 @@ def additive_energy(values) -> int:
     return sum(v * v for v in r.values())
 
 
-def _diff_count(subset: tuple[int, ...]) -> int:
-    return len({subset[j] - subset[i] for i in range(len(subset)) for j in range(i + 1, len(subset))})
-
-
 def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
     """Does every k-subset span at least ell distinct positive differences?
 
@@ -93,11 +92,10 @@ def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
     a = integer_set(values)
     if spec.k > len(a):
         raise ValueError(f"k={spec.k} exceeds set size {len(a)}")
-    for subset in combinations(a, spec.k):
-        found = _diff_count(subset)
-        if found < spec.ell:
-            return PropertyVerdict(False, subset, found)
-    return PropertyVerdict(True)
+    verdict = verify_local_property(difference_color_graph(a), spec)
+    if verdict.holds:
+        return verdict
+    return PropertyVerdict(False, tuple(a[i] for i in verdict.witness), verdict.witness_colors)
 
 
 def _squared_dist(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -114,11 +112,10 @@ def verify_distance_local_property(points, spec: LocalSpec) -> PropertyVerdict:
     pts = point_set(points)
     if spec.k > len(pts):
         raise ValueError(f"k={spec.k} exceeds point count {len(pts)}")
-    for idx in combinations(range(len(pts)), spec.k):
-        seen = {_squared_dist(pts[i], pts[j]) for i, j in combinations(idx, 2)}
-        if len(seen) < spec.ell:
-            return PropertyVerdict(False, tuple(pts[i] for i in idx), len(seen))
-    return PropertyVerdict(True)
+    verdict = verify_local_property(distance_color_graph(pts), spec)
+    if verdict.holds:
+        return verdict
+    return PropertyVerdict(False, tuple(pts[i] for i in verdict.witness), verdict.witness_colors)
 
 
 def difference_color_graph(values) -> ColoredCompleteGraph:
@@ -126,8 +123,8 @@ def difference_color_graph(values) -> ColoredCompleteGraph:
 
     Vertex i is the i-th smallest element; colors are densified in
     ascending difference order, so num_colors equals |A - A|.  Local
-    color verdicts on this graph agree exactly with the direct
-    difference verifier, witness indices mapping to sorted elements.
+    color verdicts on this graph are the difference verdicts, witness
+    indices mapping to sorted elements.
     """
     a = integer_set(values)
     if len(a) < 2:
@@ -194,7 +191,8 @@ def _diff_property_holds(a: tuple[int, ...], spec: LocalSpec) -> bool:
     if spec.k > len(a):
         return True  # no k-subsets to constrain
     for subset in combinations(a, spec.k):
-        if _diff_count(subset) < spec.ell:
+        diffs = {subset[j] - subset[i] for i in range(spec.k) for j in range(i + 1, spec.k)}
+        if len(diffs) < spec.ell:
             return False
     return True
 

@@ -26,6 +26,30 @@ def brute_verdict(G, k, ell):
     return True, None, None
 
 
+def brute_diff_verdict(values, k, ell):
+    """Direct scan of the k-subsets of the sorted distinct values, no
+    graph and no pruning; (holds, witness elements, difference count)."""
+    a = sorted(set(values))
+    for subset in combinations(a, k):
+        diffs = {y - x for x, y in combinations(subset, 2)}
+        if len(diffs) < ell:
+            return False, subset, len(diffs)
+    return True, None, None
+
+
+def brute_distance_verdict(points, k, ell):
+    """Direct scan of the index k-subsets in input order by squared
+    distance; (holds, witness points, distance count)."""
+    pts = [tuple(p) for p in points]
+    for idx in combinations(range(len(pts)), k):
+        dists = set()
+        for i, j in combinations(idx, 2):
+            dists.add((pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2)
+        if len(dists) < ell:
+            return False, tuple(pts[i] for i in idx), len(dists)
+    return True, None, None
+
+
 def brute_energy_quadruples(G):
     """Ordered pairs of unordered edges with equal colors, one by one."""
     edges = list(combinations(range(G.n), 2))

@@ -233,3 +233,87 @@ def test_local_spec_validation():
     with pytest.raises(ValueError):
         LocalSpec(3, 4)
     assert LocalSpec(3, 3).ell == 3
+
+
+def _verdict(v):
+    return v.holds, v.witness, v.witness_colors
+
+
+def _every_spec(n):
+    return [(k, ell) for k in range(2, n + 1) for ell in range(1, comb(k, 2) + 1)]
+
+
+def _assert_matches_brute(g, specs):
+    for k, ell in specs:
+        got = _verdict(verify_local_property(g, LocalSpec(k, ell)))
+        assert got == brute_verdict(g, k, ell), (g, k, ell)
+
+
+def test_bitmask_core_matches_brute_on_every_spec():
+    rng = random.Random(8128)
+    for _ in range(36):
+        n = rng.randint(2, 9)
+        c = rng.randint(1, edge_count(n))
+        g = random_coloring(RandomColoringConfig(n, c, rng.getrandbits(40)))
+        _assert_matches_brute(g, _every_spec(n))
+
+
+def test_bitmask_core_monochromatic_and_rainbow():
+    for n in range(2, 9):
+        _assert_matches_brute(monochromatic(n), _every_spec(n))
+        _assert_matches_brute(rainbow(n), _every_spec(n))
+        for k in range(2, n + 1):
+            assert verify_local_property(rainbow(n), LocalSpec(k, comb(k, 2))).holds
+            v = verify_local_property(monochromatic(n), LocalSpec(k, min(2, comb(k, 2))))
+            assert v.holds == (k == 2)
+
+
+def test_bitmask_core_first_subset_fails():
+    # rainbow except one shared color inside {0..k-1}: the lazy first path
+    # must report the very first k-subset
+    for n in (6, 9, 12):
+        for k in range(3, min(n, 6) + 1):
+            colors = list(range(edge_count(n)))
+            for a, b in combinations(range(k), 2):
+                colors[edge_index(n, a, b)] = -1
+            g = ColoredCompleteGraph.from_sparse(n, colors)
+            v = verify_local_property(g, LocalSpec(k, 2))
+            assert _verdict(v) == (False, tuple(range(k)), 1)
+            assert _verdict(v) == brute_verdict(g, k, 2)
+
+
+def test_bitmask_core_only_last_subset_fails():
+    # rainbow with edge (n-2, n-1) repeating a color that only the last
+    # k-subset can also contain: every other subset is scanned and passes
+    for n in range(4, 11):
+        for k, twin in ((3, (n - 3, n - 2)), (4, (n - 4, n - 3))):
+            if k > n:
+                continue
+            colors = list(range(edge_count(n)))
+            colors[edge_index(n, n - 2, n - 1)] = colors[edge_index(n, *twin)]
+            g = ColoredCompleteGraph.from_sparse(n, colors)
+            spec = LocalSpec(k, comb(k, 2))
+            v = verify_local_property(g, spec)
+            assert _verdict(v) == (False, tuple(range(n - k, n)), comb(k, 2) - 1)
+            assert _verdict(v) == brute_verdict(g, k, comb(k, 2))
+
+
+def test_bitmask_core_k_two_and_k_n():
+    rng = random.Random(271)
+    for n in range(2, 9):
+        g = random_coloring(RandomColoringConfig(n, rng.randint(1, edge_count(n)), rng.getrandbits(40)))
+        _assert_matches_brute(g, [(2, 1)] + [(n, ell) for ell in range(1, comb(n, 2) + 1)])
+
+
+def test_bitmask_core_beyond_one_machine_word():
+    # more than 64 colors: mask rows are multi-word ints
+    rng = random.Random(65)
+    for n in (13, 15):
+        colors = list(range(edge_count(n)))
+        colors[edge_index(n, n - 2, n - 1)] = colors[edge_index(n, 0, 1)]
+        g = ColoredCompleteGraph.from_sparse(n, colors)
+        assert g.num_colors > 64
+        _assert_matches_brute(g, [(3, 3), (4, 6), (4, 5), (5, 10)])
+        g = random_coloring(RandomColoringConfig(n + 1, 200, rng.getrandbits(40)))
+        assert g.num_colors > 64
+        _assert_matches_brute(g, [(3, 3), (4, 6), (5, 10), (5, 9)])

@@ -18,7 +18,12 @@ from localprops import (
     verify_distance_local_property,
     verify_local_property,
 )
-from oracles import brute_additive_energy, brute_g_min
+from oracles import (
+    brute_additive_energy,
+    brute_diff_verdict,
+    brute_distance_verdict,
+    brute_g_min,
+)
 
 
 def test_difference_set_examples():
@@ -225,3 +230,75 @@ def test_min_difference_set_infeasible_and_budget():
 def test_integer_set_normalization():
     assert integer_set([3, 1, 3, 2]) == (1, 2, 3)
     assert integer_set([]) == ()
+
+
+def _verdict(v):
+    return v.holds, v.witness, v.witness_colors
+
+
+def _every_spec(n):
+    return [(k, ell) for k in range(2, n + 1) for ell in range(1, comb(k, 2) + 1)]
+
+
+def test_diff_verifier_matches_direct_scan():
+    # the verifier reduces to the colored-graph core; the oracle scans the
+    # differences themselves, so the reduction is judged from outside
+    rng = random.Random(60221)
+    pools = [
+        range(-25, 26),
+        range(1, 13),  # dense: many repeated differences, many failures
+        range(10**12 - 30, 10**12 + 30),
+        range(-(10**12) - 20, -(10**12) + 20),
+    ]
+    for trial in range(48):
+        vals = rng.sample(pools[trial % len(pools)], rng.randint(2, 7))
+        vals += rng.sample(vals, rng.randint(0, 2))  # duplicates collapse
+        rng.shuffle(vals)
+        for k, ell in _every_spec(len(set(vals))):
+            got = _verdict(verify_diff_local_property(vals, LocalSpec(k, ell)))
+            assert got == brute_diff_verdict(vals, k, ell), (vals, k, ell)
+
+
+def test_diff_verifier_matches_direct_scan_mixed_magnitudes():
+    vals = [-(10**12), -7, -3, 0, 2, 5, 10**12 - 4, 10**12, 10**12 + 3]
+    for k, ell in _every_spec(6):
+        for sub in (vals[:6], vals[3:], vals[::2] + [1]):
+            got = _verdict(verify_diff_local_property(sub, LocalSpec(k, ell)))
+            assert got == brute_diff_verdict(sub, k, ell), (sub, k, ell)
+
+
+def test_distance_verifier_matches_direct_scan():
+    rng = random.Random(16180)
+    for trial in range(48):
+        kind = trial % 4
+        size = rng.randint(2, 7)
+        if kind == 0:  # small grid: many duplicate distances
+            pts = set()
+            while len(pts) < size:
+                pts.add((rng.randint(-2, 2), rng.randint(-2, 2)))
+            pts = list(pts)
+        elif kind == 1:  # collinear on a slanted line
+            ts = rng.sample(range(-12, 13), size)
+            pts = [(t, 2 * t + 1) for t in ts]
+        elif kind == 2:  # collinear on an axis, far from the origin
+            pts = [(10**6 + x, -(10**6)) for x in rng.sample(range(40), size)]
+        else:  # general position, large coordinates
+            pts = set()
+            while len(pts) < size:
+                pts.add((rng.randint(-(10**9), 10**9), rng.randint(-(10**9), 10**9)))
+            pts = list(pts)
+        rng.shuffle(pts)  # witnesses follow input order
+        for k, ell in _every_spec(len(pts)):
+            got = _verdict(verify_distance_local_property(pts, LocalSpec(k, ell)))
+            assert got == brute_distance_verdict(pts, k, ell), (pts, k, ell)
+
+
+def test_distance_verifier_regular_configurations():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    lattice = [(x, y) for x in range(3) for y in range(3)]
+    for pts in (square, square[::-1], lattice, lattice[::-1]):
+        for k, ell in _every_spec(min(len(pts), 6)):
+            got = _verdict(verify_distance_local_property(pts, LocalSpec(k, ell)))
+            assert got == brute_distance_verdict(pts, k, ell), (pts, k, ell)
+    v = verify_distance_local_property(square, LocalSpec(4, 3))
+    assert not v.holds and v.witness == tuple(square) and v.witness_colors == 2
