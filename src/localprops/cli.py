@@ -34,6 +34,7 @@ import io as _io
 import sys
 from functools import partial
 from math import comb
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -90,54 +91,32 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _spec_from(args) -> LocalSpec:
-    return LocalSpec(args.k, args.ell)
+def _csv(header, rows) -> str:
+    buf = _io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _verdict_fields(verdict) -> dict:
-    return {
-        "status": "holds" if verdict.holds else "fails",
-        "witness": list(verdict.witness) if verdict.witness is not None else None,
-        "witness_colors": verdict.witness_colors,
-    }
-
-
-def _cmd_verify_coloring(args) -> int:
-    spec = _spec_from(args)
-    G = load_coloring(args.input)
-    params = {"k": args.k, "ell": args.ell, "n": G.n}
-    if spec.k > G.n:
-        _emit(args, _payload("verify-coloring", params, status="infeasible"))
+def _cmd_verify(args, load, size, verify) -> int:
+    spec = LocalSpec(args.k, args.ell)
+    instance = load(args.input)
+    params = {"k": args.k, "ell": args.ell, "n": size(instance)}
+    if spec.k > params["n"]:
+        _emit(args, _payload(args.subcommand, params, status="infeasible"))
         return 1
-    verdict = verify_local_property(G, spec)
-    _emit(args, _payload("verify-coloring", params, **_verdict_fields(verdict)))
-    return 0 if verdict.holds else 1
-
-
-def _cmd_verify_diffset(args) -> int:
-    spec = _spec_from(args)
-    a = load_integer_set(args.input)
-    params = {"k": args.k, "ell": args.ell, "n": len(a)}
-    if spec.k > len(a):
-        _emit(args, _payload("verify-diffset", params, status="infeasible"))
-        return 1
-    verdict = verify_diff_local_property(a, spec)
-    _emit(args, _payload("verify-diffset", params, **_verdict_fields(verdict)))
-    return 0 if verdict.holds else 1
-
-
-def _cmd_verify_distances(args) -> int:
-    spec = _spec_from(args)
-    pts = load_point_set(args.input)
-    params = {"k": args.k, "ell": args.ell, "n": len(pts)}
-    if spec.k > len(pts):
-        _emit(args, _payload("verify-distances", params, status="infeasible"))
-        return 1
-    verdict = verify_distance_local_property(pts, spec)
-    fields = _verdict_fields(verdict)
-    if fields["witness"] is not None:
-        fields["witness"] = [list(p) for p in verdict.witness]
-    _emit(args, _payload("verify-distances", params, **fields))
+    verdict = verify(instance, spec)
+    _emit(
+        args,
+        _payload(
+            args.subcommand,
+            params,
+            status="holds" if verdict.holds else "fails",
+            witness=verdict.witness,
+            witness_colors=verdict.witness_colors,
+        ),
+    )
     return 0 if verdict.holds else 1
 
 
@@ -153,72 +132,43 @@ def _cmd_construct(args, parser) -> int:
     kind = args.kind
     if kind == "random-coloring":
         _require(args, parser, ["n", "colors", "seed", "artifact_out"])
-        cfg = RandomColoringConfig(args.n, args.colors, args.seed)
-        G = random_coloring(cfg)
+        G = random_coloring(RandomColoringConfig(args.n, args.colors, args.seed))
         save_coloring(args.artifact_out, G)
-        params = {"kind": kind, "n": args.n, "colors": args.colors, "seed": args.seed}
-        _emit(
-            args,
-            _payload(
-                "construct",
-                params,
-                status="ok",
-                artifact=args.artifact_out,
-                num_colors_used=G.num_colors,
-            ),
-        )
-        return 0
-    if kind == "behrend":
+        params = {"n": args.n, "colors": args.colors, "seed": args.seed}
+        fields = {"artifact": args.artifact_out, "num_colors_used": G.num_colors}
+    elif kind == "behrend":
         _require(args, parser, ["size_target", "artifact_out"])
         out = behrend_set(args.size_target)
         save_integer_set(args.artifact_out, out)
-        params = {"kind": kind, "size_target": args.size_target}
-        _emit(
-            args,
-            _payload(
-                "construct",
-                params,
-                status="ok",
-                artifact=args.artifact_out,
-                size=len(out),
-                max_element=out[-1],
-            ),
-        )
-        return 0
-    if kind == "collinear-points":
+        params = {"size_target": args.size_target}
+        fields = {"artifact": args.artifact_out, "size": len(out), "max_element": out[-1]}
+    elif kind == "collinear-points":
         _require(args, parser, ["input", "artifact_out"])
         a = load_integer_set(args.input)
         if not a:
             raise ValueError("input set is empty")
         pts = collinear_point_set(a)
         save_point_set(args.artifact_out, pts)
-        params = {"kind": kind}
-        _emit(
-            args,
-            _payload(
-                "construct", params, status="ok", artifact=args.artifact_out,
-                size=len(pts),
-            ),
-        )
-        return 0
-    # estimate-probability
-    _require(args, parser, ["n", "colors", "k", "ell", "trials", "seed"])
-    spec = _spec_from(args)
-    if spec.k > args.n:
-        params = {"kind": kind, "n": args.n, "k": args.k, "ell": args.ell}
-        _emit(args, _payload("construct", params, status="infeasible"))
-        return 1
-    prob = estimate_property_probability(args.n, args.colors, spec, args.trials, args.seed)
-    params = {
-        "kind": kind,
-        "n": args.n,
-        "colors": args.colors,
-        "k": args.k,
-        "ell": args.ell,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _emit(args, _payload("construct", params, status="ok", probability=prob))
+        params = {}
+        fields = {"artifact": args.artifact_out, "size": len(pts)}
+    else:  # estimate-probability
+        _require(args, parser, ["n", "colors", "k", "ell", "trials", "seed"])
+        spec = LocalSpec(args.k, args.ell)
+        if spec.k > args.n:
+            params = {"kind": kind, "n": args.n, "k": args.k, "ell": args.ell}
+            _emit(args, _payload("construct", params, status="infeasible"))
+            return 1
+        params = {
+            "n": args.n,
+            "colors": args.colors,
+            "k": args.k,
+            "ell": args.ell,
+            "trials": args.trials,
+            "seed": args.seed,
+        }
+        prob = estimate_property_probability(args.n, args.colors, spec, args.trials, args.seed)
+        fields = {"probability": prob}
+    _emit(args, _payload("construct", {"kind": kind, **params}, status="ok", **fields))
     return 0
 
 
@@ -233,7 +183,7 @@ def _cmd_solve_f(args) -> int:
     if args.ell > comb(args.k, 2):
         _emit(args, _payload("solve-f", params, status="unsatisfiable"))
         return 1
-    spec = _spec_from(args)
+    spec = LocalSpec(args.k, args.ell)
     if spec.k > args.n:
         _emit(args, _payload("solve-f", params, status="infeasible"))
         return 1
@@ -242,12 +192,7 @@ def _cmd_solve_f(args) -> int:
     if args.certificate_out and result.certificate is not None:
         save_coloring(args.certificate_out, result.certificate)
     if args.log_out:
-        buf = _io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["c", "nodes", "outcome"])
-        for row in result.log:
-            writer.writerow(row)
-        Path(args.log_out).write_text(buf.getvalue())
+        Path(args.log_out).write_text(_csv(["c", "nodes", "outcome"], result.log))
     _emit(
         args,
         _payload(
@@ -274,7 +219,7 @@ def _cmd_solve_g(args) -> int:
     if args.ell > comb(args.k, 2):
         _emit(args, _payload("solve-g", params, status="unsatisfiable"))
         return 1
-    spec = _spec_from(args)
+    spec = LocalSpec(args.k, args.ell)
     result = min_difference_set(args.n, spec, args.range_cap, args.max_sets)
     cert = None
     if result.certificate is not None:
@@ -307,10 +252,8 @@ def _cmd_energy(args) -> int:
     bins, contributions = dyadic_bins(G)
     total = sum(contributions)
     cs = cauchy_schwarz_floor(G) if G.num_colors else None
-    rows = [
-        {"j": j, "bin_count": bc, "contribution": contrib}
-        for j, (bc, contrib) in enumerate(zip(bins, contributions))
-    ]
+    columns = ["j", "bin_count", "contribution"]
+    rows = [[j, bc, contrib] for j, (bc, contrib) in enumerate(zip(bins, contributions))]
     payload = _payload(
         "energy",
         {"n": G.n},
@@ -318,15 +261,9 @@ def _cmd_energy(args) -> int:
         num_colors=G.num_colors,
         energy=total,
         cauchy_schwarz_floor=cs,
-        decomposition=rows,
+        decomposition=[dict(zip(columns, row)) for row in rows],
     )
-    buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["j", "bin_count", "contribution"])
-    for row in rows:
-        writer.writerow([row["j"], row["bin_count"], row["contribution"]])
-    writer.writerow(["total", "", total])
-    _emit(args, payload, buf.getvalue())
+    _emit(args, payload, _csv(columns, rows + [["total", "", total]]))
     return 0
 
 
@@ -380,34 +317,17 @@ def _cmd_profile(args) -> int:
         cum_count=list(profile.cum_count),
         rows=row_dicts,
     )
-    buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "j",
-            "bin_count",
-            "k_j",
-            "poor_bound_num",
-            "poor_bound_den",
-            "rich_bound_num",
-            "rich_bound_den",
-            "flags",
-        ]
-    )
-    for d in row_dicts:
-        writer.writerow(
-            [
-                d["j"],
-                d["bin_count"],
-                d["k_j"],
-                d["poor_bound_num"],
-                d["poor_bound_den"],
-                d["rich_bound_num"],
-                d["rich_bound_den"],
-                d["flags"],
-            ]
-        )
-    _emit(args, payload, buf.getvalue())
+    columns = [
+        "j",
+        "bin_count",
+        "k_j",
+        "poor_bound_num",
+        "poor_bound_den",
+        "rich_bound_num",
+        "rich_bound_den",
+        "flags",
+    ]
+    _emit(args, payload, _csv(columns, ([d[c] for c in columns] for d in row_dicts)))
     return 0
 
 
@@ -434,25 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"localprops {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, output=True, threads=True):
-        if output:
-            p.add_argument("--output", help="payload destination (default stdout)")
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="worker cap; results never depend on it",
-            )
+    def common(p):
+        p.add_argument("--output", help="payload destination (default stdout)")
 
-    verifiers = {
-        "verify-coloring": _cmd_verify_coloring,
-        "verify-diffset": _cmd_verify_diffset,
-        "verify-distances": _cmd_verify_distances,
-    }
-    for name, cmd in verifiers.items():
+    for name, load, size, verify in (
+        ("verify-coloring", load_coloring, attrgetter("n"), verify_local_property),
+        ("verify-diffset", load_integer_set, len, verify_diff_local_property),
+        ("verify-distances", load_point_set, len, verify_distance_local_property),
+    ):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} against a (k, ell) spec")
-        p.set_defaults(func=cmd)
+        p.set_defaults(func=partial(_cmd_verify, load=load, size=size, verify=verify))
         p.add_argument("--input", required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--ell", type=int, required=True)
@@ -527,10 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

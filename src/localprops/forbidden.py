@@ -223,7 +223,8 @@ def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
     exists, so None is only possible below the hypothesis.  Indices are
     0-based positions into inst.sets.  The prefix scan prunes exactly:
     an intersection can only shrink, so a prefix below the threshold is
-    skipped without losing any qualifying completion.
+    skipped without losing any qualifying completion.  The scan recurses
+    once per chosen set, so a d past the recursion limit raises ValueError.
     """
     d, n = inst.d, inst.n
     k = len(inst.sets)
@@ -251,4 +252,9 @@ def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
                     return hit
         return None
 
-    return rec(0, (), 0)
+    try:
+        return rec(0, (), 0)
+    except RecursionError:
+        raise ValueError(
+            f"d={d}: the search recurses once per chosen set, {d} deep, past the recursion limit"
+        ) from None

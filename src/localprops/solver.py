@@ -153,6 +153,8 @@ def feasible(
     assignment order) as a certificate, re-encoded in the row-major
     edge index.  The deadline also bounds building the slot table;
     min_colors passes one table, built for this (n, spec), to every level.
+    The search recurses once per edge, so an n whose C(n,2) passes the
+    recursion limit (n >= 46 at the default limit) raises ValueError.
     """
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
@@ -208,6 +210,10 @@ def feasible(
         found = dfs(0, -1)
     except _OutOfBudget:
         return FeasibleOutcome("exhausted", None, nodes)
+    except RecursionError:
+        raise ValueError(
+            f"n={n}: the search recurses once per edge, {m} deep, past the recursion limit"
+        ) from None
     finally:
         dfs = None  # dfs sits in its own closure: break the cycle, free state now
     if not found:

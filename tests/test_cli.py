@@ -1,7 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from localprops import cli
 from localprops.io import dump_json
 
 
@@ -166,14 +173,36 @@ def test_solve_f_roundtrip_and_log(tmp_path):
     assert lines[-1].startswith("5,") and lines[-1].endswith(",yes")
 
 
-def test_solve_f_deterministic_and_thread_independent(tmp_path):
+def test_solve_f_deterministic(tmp_path):
+    cert, log = tmp_path / "cert.json", tmp_path / "log.csv"
     runs = []
-    for threads in ("1", "4", "1"):
-        proc = run_cli("solve-f", "--n", "5", "--k", "3", "--ell", "3", "--threads", threads)
+    for _ in range(3):
+        proc = run_cli(
+            "solve-f", "--n", "5", "--k", "3", "--ell", "3",
+            "--certificate-out", str(cert), "--log-out", str(log),
+        )
         assert proc.returncode == 0
-        runs.append(proc.stdout)
-    assert runs[0] == runs[2]
-    assert runs[0] == runs[1]
+        runs.append((proc.stdout, cert.read_bytes(), log.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
+    assert run_cli("solve-f", "--n", "5", "--k", "3", "--ell", "3", "--threads", "4").returncode == 2
+
+
+def test_solve_f_too_deep_exits_2_without_traceback():
+    proc = run_cli("solve-f", "--n", "50", "--k", "2", "--ell", "1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("localprops: error: ") and proc.stderr.count("\n") == 1
+    assert "1225 deep" in proc.stderr
+
+
+def test_lemma_check_too_deep_exits_2_without_traceback(tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text(dump_json({"n": 1, "sets": [[0]] * 1100, "d": 1100}))
+    proc = run_cli("lemma-check", "--input", str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("localprops: error: ") and proc.stderr.count("\n") == 1
+    assert "1100 deep" in proc.stderr
 
 
 def test_solve_f_unsatisfiable_and_infeasible():
@@ -276,3 +305,168 @@ def test_payload_written_to_output_file(tmp_path):
     proc = run_cli("energy", "--input", str(f), "--output", str(out))
     assert proc.returncode == 0 and proc.stdout == ""
     assert json.loads(out.read_text())["energy"] == 3
+
+
+# ---------------------------------------------------------------- golden bytes
+#
+# Fixed command lines run through cli.main in a directory holding the
+# inputs below.  Each pins the exit code and one sha256 over stdout,
+# stderr and every file the command writes; on argparse usage errors
+# only the exit code is pinned, since the usage text lists the options.
+
+GOLDEN_INPUTS = {
+    "rainbow3.json": '{"n": 3, "colors": [0, 1, 2]}',
+    "mono4.json": '{"n": 4, "colors": [0, 0, 0, 0, 0, 0]}',
+    "sparse3.json": '{"n": 3, "colors": [7, 7, 12]}',
+    "g4.json": '{"n": 4, "colors": [0, 0, 0, 1, 1, 2]}',
+    "mono8.json": json.dumps({"n": 8, "colors": [0] * 28}),
+    "mono12.json": json.dumps({"n": 12, "colors": [0] * 66}),
+    "broken.json": "{",
+    "ap.json": "[1, 2, 3, 4]",
+    "sidon.json": "[1, 2, 4, 7]",
+    "empty.json": "[]",
+    "right.json": "[[0, 0], [1, 0], [0, 1]]",
+    "square.json": "[[0, 0], [2, 0], [2, 2], [0, 2]]",
+    "line.json": "[[0, 0], [1, 0], [3, 0]]",
+    "found.json": json.dumps({"n": 4, "sets": [[1, 2]] * 16, "d": 2}),
+    "none.json": json.dumps({"n": 10, "sets": [[1, 2], [3, 4], [5, 6]], "d": 2}),
+}
+
+# (name, argv, files the command writes, usage error)
+GOLDEN_CASES = [
+    ("verify-coloring-holds", "verify-coloring --input rainbow3.json --k 3 --ell 3", (), False),
+    ("verify-coloring-fails", "verify-coloring --input mono4.json --k 3 --ell 2", (), False),
+    ("verify-coloring-sparse", "verify-coloring --input sparse3.json --k 3 --ell 2", (), False),
+    ("verify-coloring-infeasible", "verify-coloring --input rainbow3.json --k 4 --ell 2", (), False),
+    ("verify-coloring-output", "verify-coloring --input g4.json --k 3 --ell 2 --output p.json",
+     ("p.json",), False),
+    ("verify-diffset-fails", "verify-diffset --input ap.json --k 4 --ell 5", (), False),
+    ("verify-diffset-holds", "verify-diffset --input sidon.json --k 4 --ell 5", (), False),
+    ("verify-diffset-infeasible", "verify-diffset --input sidon.json --k 5 --ell 5", (), False),
+    ("verify-distances-fails", "verify-distances --input right.json --k 3 --ell 3", (), False),
+    ("verify-distances-fails-square", "verify-distances --input square.json --k 4 --ell 3",
+     (), False),
+    ("verify-distances-holds", "verify-distances --input line.json --k 3 --ell 3", (), False),
+    ("verify-distances-infeasible", "verify-distances --input line.json --k 4 --ell 3", (), False),
+    ("construct-random-coloring", "construct --kind random-coloring --n 7 --colors 4 --seed 99 "
+     "--artifact-out a.json", ("a.json",), False),
+    ("construct-behrend", "construct --kind behrend --size-target 16 --artifact-out set.json",
+     ("set.json",), False),
+    ("construct-collinear", "construct --kind collinear-points --input sidon.json "
+     "--artifact-out pts.json --output p.json", ("pts.json", "p.json"), False),
+    ("construct-collinear-empty", "construct --kind collinear-points --input empty.json "
+     "--artifact-out pts.json", (), False),
+    ("construct-estimate-zero", "construct --kind estimate-probability --n 5 --colors 2 "
+     "--k 3 --ell 3 --trials 40 --seed 3", (), False),
+    ("construct-estimate", "construct --kind estimate-probability --n 6 --colors 5 "
+     "--k 3 --ell 2 --trials 120 --seed 7", (), False),
+    ("construct-estimate-infeasible", "construct --kind estimate-probability --n 3 --colors 5 "
+     "--k 4 --ell 2 --trials 10 --seed 1", (), False),
+    ("construct-missing-seed", "construct --kind random-coloring --n 4 --colors 2 "
+     "--artifact-out x.json", (), True),
+    ("solve-f-certificate-log", "solve-f --n 5 --k 3 --ell 3 --certificate-out cert.json "
+     "--log-out log.csv", ("cert.json", "log.csv"), False),
+    ("solve-f-time-limit", "solve-f --n 5 --k 4 --ell 5 --time-limit 60", (), False),
+    ("solve-f-unsatisfiable", "solve-f --n 4 --k 3 --ell 4", (), False),
+    ("solve-f-infeasible", "solve-f --n 3 --k 4 --ell 4", (), False),
+    ("solve-f-budget", "solve-f --n 6 --k 3 --ell 3 --node-limit 10 --log-out log.csv",
+     ("log.csv",), False),
+    ("solve-g-certificate", "solve-g --n 4 --k 4 --ell 5 --range-cap 10 --certificate-out g.json",
+     ("g.json",), False),
+    ("solve-g-infeasible", "solve-g --n 3 --k 3 --ell 3 --range-cap 3", (), False),
+    ("solve-g-budget", "solve-g --n 5 --k 4 --ell 5 --range-cap 18 --max-sets 5", (), False),
+    ("energy-json", "energy --input g4.json", (), False),
+    ("energy-csv", "energy --input g4.json --format csv", (), False),
+    ("energy-csv-output", "energy --input mono8.json --format csv --output e.csv",
+     ("e.csv",), False),
+    ("profile-csv", "profile --input mono8.json --k 6 --m 2 --format csv", (), False),
+    ("profile-json", "profile --input g4.json --k 6 --m 2", (), False),
+    ("profile-locate", "profile --input mono12.json --k 5 --m 2 --locate", (), False),
+    ("profile-locate-csv", "profile --input mono12.json --k 5 --m 2 --locate --format csv",
+     (), False),
+    ("profile-bad-params", "profile --input rainbow3.json --k 2 --m 2", (), False),
+    ("lemma-check-found", "lemma-check --input found.json", (), False),
+    ("lemma-check-none", "lemma-check --input none.json --output p.json", ("p.json",), False),
+    ("error-broken-json", "verify-coloring --input broken.json --k 3 --ell 2", (), False),
+    ("error-missing-file", "verify-diffset --input nope.json --k 3 --ell 2", (), False),
+    ("usage-no-subcommand", "", (), True),
+    ("usage-unknown-subcommand", "nonsense", (), True),
+    ("usage-missing-option", "verify-coloring --input g4.json --k 3", (), True),
+    ("version", "--version", (), False),
+]
+
+GOLDEN_PINS = {
+    "verify-coloring-holds": [0, "2423aca388ba5f1f5a9770467308e2f68834e70a54a3b8cdd288a2545964bb95"],
+    "verify-coloring-fails": [1, "79b059c85ad7014c970c189c9057746c7aa7ae10a7ef6a703c0fef51e135c7d0"],
+    "verify-coloring-sparse": [0, "e9d3538c17d728ed7d5e5f094175af8bd8fcc7f91daf1f7873382a2dee9742d1"],
+    "verify-coloring-infeasible": [1, "d2ce2f3b307d9830e8f09b5c4d06e050d9a34564b24abb83367dce3b0f7a09f9"],
+    "verify-coloring-output": [0, "22036319cf534c0a371316a1f39a5b1f56b6c6a56400da118ad82e147d0fc246"],
+    "verify-diffset-fails": [1, "5f4a09941a425ed9968531aab3acaf80b5c6db898e21b7fe2d8144472a569b36"],
+    "verify-diffset-holds": [0, "e54963a58667b5820e661f72dc13f717d2c483c0693c79cca407e0560d06f25f"],
+    "verify-diffset-infeasible": [1, "22f80a6a80fbe2f6e519bc972605a049a2982aa851a5f1aa2e8f19cd42aaf174"],
+    "verify-distances-fails": [1, "c6ab465737a164ea291cea6aafbab8a305b57373eadca925902123ab60edfbbe"],
+    "verify-distances-fails-square": [1, "0390c805fdb6f610261a265471573c2f596df99b1f6bf218bd7c9f8c361a042f"],
+    "verify-distances-holds": [0, "f25eda117aee6f536982ac0c72dccd00615def855b2fbd26e17dada52d0bde72"],
+    "verify-distances-infeasible": [1, "05a3059eb08f4ffead7571be7cd35c6b472fa3ab049a33594912130aaa5fea1d"],
+    "construct-random-coloring": [0, "c231bbd10c9bac692926059557d845eb855212bf7aecc5dabc6b63a2bdc9ac93"],
+    "construct-behrend": [0, "8c1f3b51b2a4bbbb857e53203c35363aff01993844d1f983f6174385d9f08b2e"],
+    "construct-collinear": [0, "606bbc364fc560b89aa76c282d36cb2f40dc7059c94620e63c6ee888ab3f278d"],
+    "construct-collinear-empty": [2, "33df276af778f6f72fb880103e0fc118555b5aa92f20ca0546d23da57ec32412"],
+    "construct-estimate-zero": [0, "2cf7c10166f081d70610c80085ef2a7299715d8e031e3e5b6f2706720d43d465"],
+    "construct-estimate": [0, "dfab3321697baffa26d5d7b6056f43e0520985171cbe81687e0b33a3c5ca1b85"],
+    "construct-estimate-infeasible": [1, "1763e6b5fe0ef7f1a80a927d49b7152a3d312f93bb50020cbfed8f112e53e0b6"],
+    "construct-missing-seed": [2, "c89aabbe22f1b8e4938f3557d653fe4c482c364999e0172181e31448a6d1648b"],
+    "solve-f-certificate-log": [0, "80063588b930367e070d84fe21533a3c2c68c3011d912b8fb771d1c42822b44a"],
+    "solve-f-time-limit": [0, "741765d0eb656b73397dc7012fe4eceb24323cd1149aff3e0c56f7e1b3bdeeeb"],
+    "solve-f-unsatisfiable": [1, "9faae0aa2189366d40de4b2d68fe9ee990780615f4f69a8e756193091369d2eb"],
+    "solve-f-infeasible": [1, "df6a874532dab6c901911592f8201eb6b8094de328a5fccb79577275c875d79b"],
+    "solve-f-budget": [0, "540137af8f9fa94257ed9116ce83b4c5cc9e6d96eb5f2d96c199a164f266a601"],
+    "solve-g-certificate": [0, "f49e605301f498837372fa1703f68a39dbca28774a6601443544b2215cfe3a8a"],
+    "solve-g-infeasible": [1, "a681e8284357aa4a21b034e00691630b9881065a657b82b2dd613e4ba3d4ab4a"],
+    "solve-g-budget": [0, "7ff3ee32e419af288c24e02801c82868eca535036bafc0447031344cd647a177"],
+    "energy-json": [0, "0f647de3f0265bf962556be14bc428c09c24130d1ef537505a1544df42bc2b25"],
+    "energy-csv": [0, "5549c7d6549d5a240bb167ac46c53556ca9b0b8009939a7d734ca8df7bd74333"],
+    "energy-csv-output": [0, "7764c727265902178ee96e5d39815914d0540bd863734598718d45252084d833"],
+    "profile-csv": [0, "7ed15594b038cf81ab7682d348d74b41ba7975077f3d5d9bde74d2cce9ec5dec"],
+    "profile-json": [0, "4af33c5974e4a009298d82ea1555529bf8d69354a7816f4c06124c9c5198a390"],
+    "profile-locate": [0, "80af94ad0f64679faac3047ba971d4449becc31114d3639d9e1d294ee7d6a043"],
+    "profile-locate-csv": [0, "93c80e826860cac72e31f727618296ec366b72c37bc0ac246930a5dd4944e569"],
+    "profile-bad-params": [2, "07f20ff7ce082a30f38fe01e7d0055bdf57993f53c115e645afc0b29889d9f92"],
+    "lemma-check-found": [0, "56323502353f1a54c8d9d57dcee318728cbf86dfe5311432baf67ba584bd6a92"],
+    "lemma-check-none": [1, "5280b9c8fe128adbdd56bfd1eb832a89284e60f8cdbe68c5e9db377e7fd28d55"],
+    "error-broken-json": [2, "2c974889ffc86c8e8c2f9242fe765cbc7665d453c52a1873bb17f1797a5e0792"],
+    "error-missing-file": [2, "f56da9172a6d46a64d005e43fdf82eec3c7453bc2113d7f332743d167a96d386"],
+    "usage-no-subcommand": [2, "c89aabbe22f1b8e4938f3557d653fe4c482c364999e0172181e31448a6d1648b"],
+    "usage-unknown-subcommand": [2, "c89aabbe22f1b8e4938f3557d653fe4c482c364999e0172181e31448a6d1648b"],
+    "usage-missing-option": [2, "c89aabbe22f1b8e4938f3557d653fe4c482c364999e0172181e31448a6d1648b"],
+    "version": [0, "8e0f38d0a59659fc06dfa3aed73df9a3e74b687287c2a8dd2abdda98f5e8f2da"],
+}
+
+
+def _run_golden(directory, argv, written, usage_error):
+    for name, text in GOLDEN_INPUTS.items():
+        (directory / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv.split())
+            except SystemExit as exc:
+                rc = exc.code
+    finally:
+        os.chdir(here)
+    record = [b"stdout", out.getvalue().encode()]
+    if not usage_error:
+        record += [b"stderr", err.getvalue().encode()]
+    for name in written:
+        record += [name.encode(), (directory / name).read_bytes()]
+    digest = hashlib.sha256(b"\0".join(record)).hexdigest()
+    return rc, digest, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name,argv,written,usage_error", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_cli_bytes(tmp_path, name, argv, written, usage_error):
+    rc, digest, out, err = _run_golden(tmp_path, argv, written, usage_error)
+    assert [rc, digest] == GOLDEN_PINS[name], (out, err)

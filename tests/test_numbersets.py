@@ -16,7 +16,6 @@ from localprops import (
     sum_set,
     verify_diff_local_property,
     verify_distance_local_property,
-    verify_local_property,
 )
 from oracles import (
     brute_additive_energy,
@@ -107,11 +106,11 @@ def test_reduction_soundness_differences():
         ell = rng.randint(1, comb(k, 2))
         spec = LocalSpec(k, ell)
         direct = verify_diff_local_property(vals, spec)
-        via_graph = verify_local_property(difference_color_graph(vals), spec)
-        assert direct.holds == via_graph.holds
+        holds, witness, count = brute_diff_verdict(vals, k, ell)
+        assert direct.holds == holds
         if not direct.holds:
-            assert direct.witness_colors == via_graph.witness_colors
-            assert direct.witness == tuple(vals[i] for i in via_graph.witness)
+            assert direct.witness_colors == count
+            assert direct.witness == witness
 
 
 def test_reduction_soundness_distances():
@@ -125,11 +124,11 @@ def test_reduction_soundness_distances():
         ell = rng.randint(1, comb(k, 2))
         spec = LocalSpec(k, ell)
         direct = verify_distance_local_property(pts, spec)
-        via_graph = verify_local_property(distance_color_graph(pts), spec)
-        assert direct.holds == via_graph.holds
+        holds, witness, count = brute_distance_verdict(pts, k, ell)
+        assert direct.holds == holds
         if not direct.holds:
-            assert direct.witness_colors == via_graph.witness_colors
-            assert direct.witness == tuple(pts[i] for i in via_graph.witness)
+            assert direct.witness_colors == count
+            assert direct.witness == witness
 
 
 def test_collinear_points_reduce_like_differences():
