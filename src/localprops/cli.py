@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
 
     p = sub.add_parser("construct", help="generators and the probability estimator")
-    p.set_defaults(func=partial(_cmd_construct, parser=parser))
+    p.set_defaults(func=partial(_cmd_construct, parser=p))
     p.add_argument(
         "--kind",
         required=True,

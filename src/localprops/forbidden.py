@@ -258,3 +258,5 @@ def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
         raise ValueError(
             f"d={d}: the search recurses once per chosen set, {d} deep, past the recursion limit"
         ) from None
+    finally:
+        rec = None  # rec sits in its own closure: break the cycle, free state now

@@ -15,13 +15,23 @@ the local color property of the graph, so the direct verifiers are the
 reductions: verify_diff_local_property and verify_distance_local_property
 validate their input, reduce, run coloring.verify_local_property and map
 the witness's vertex indices back to elements or points.
+
+min_difference_set finds the least |A - A| under a (k, ell) difference
+property by a depth-first search over the candidates in lexicographic
+order, on int bitmasks: the prefix's differences form one mask, its
+elements one reflected mask (a shift yields every new difference x - y
+at once), and each small subset of the prefix keeps its own pair of
+masks, so checking a new element is one OR and one bit count per
+(k-1)-subset.  Pruned subtrees and skipped runs are counted by binomial
+coefficients, so the certificate (the lexicographically least optimum)
+and sets_examined are exactly those of a plain scan of every candidate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from .coloring import ColoredCompleteGraph, LocalSpec, PropertyVerdict, verify_local_property
 
@@ -92,7 +102,7 @@ def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
     a = integer_set(values)
     if spec.k > len(a):
         raise ValueError(f"k={spec.k} exceeds set size {len(a)}")
-    verdict = verify_local_property(difference_color_graph(a), spec)
+    verdict = verify_local_property(_difference_graph(a), spec)
     if verdict.holds:
         return verdict
     return PropertyVerdict(False, tuple(a[i] for i in verdict.witness), verdict.witness_colors)
@@ -129,6 +139,11 @@ def difference_color_graph(values) -> ColoredCompleteGraph:
     a = integer_set(values)
     if len(a) < 2:
         raise ValueError("need at least two elements")
+    return _difference_graph(a)
+
+
+def _difference_graph(a: tuple[int, ...]) -> ColoredCompleteGraph:
+    """difference_color_graph of an already normalized set of >= 2 elements."""
     raw = [a[j] - a[i] for i in range(len(a)) for j in range(i + 1, len(a))]
     return ColoredCompleteGraph.from_sparse(len(a), raw)
 
@@ -187,14 +202,11 @@ class DiffSetSearchResult:
     sets_examined: int
 
 
-def _diff_property_holds(a: tuple[int, ...], spec: LocalSpec) -> bool:
-    if spec.k > len(a):
-        return True  # no k-subsets to constrain
-    for subset in combinations(a, spec.k):
-        diffs = {subset[j] - subset[i] for i in range(spec.k) for j in range(i + 1, spec.k)}
-        if len(diffs) < spec.ell:
-            return False
-    return True
+def _add_element(subs: list, sh: int) -> None:
+    """Extend the j-subset rows of a prefix by element cap - sh."""
+    bx = 1 << sh
+    for j in range(len(subs) - 1, 0, -1):
+        subs[j] += [(m | s >> sh, s | bx) for m, s in subs[j - 1]]
 
 
 def min_difference_set(
@@ -203,12 +215,26 @@ def min_difference_set(
     """Minimum |A - A| over n-element A within {1..range_cap} satisfying
     the (k, ell) difference property, with a certificate.
 
-    Translation is normalized away (min element pinned to 1) and of each
-    reflection pair only the lexicographically smaller set is scanned;
-    both operations preserve the difference multiset and the property.
-    Ties break to the lexicographically least certificate.  Specs with
-    k > n hold vacuously.  max_sets caps the number of candidate sets
-    examined; exceeding it reports status "budget-exhausted".
+    Translation is normalized away (min element pinned to 1) and the
+    candidates (1, a2, ..., an) are searched depth first in
+    lexicographic order, so the first optimum found is the
+    lexicographically least one.  A reflection has the same difference
+    set and the same verdict, so it needs no separate test.  A subtree
+    is pruned when
+      - its prefix holds a failing k-subset (the property is hereditary);
+      - its difference count plus one per element still to add reaches
+        the best size so far: each later element z brings its new
+        largest difference z - 1, and a later candidate loses every tie;
+      - the best exists and even an element sharing no difference with
+        the prefix would reach it: then only elements repeating enough
+        prefix differences are visited, and each skipped run is counted
+        in one step.
+    Specs with k > n hold vacuously.
+
+    sets_examined counts candidates in lexicographic order, pruned ones
+    included, so it equals the number a plain scan of every candidate
+    would make.  max_sets caps it: when more candidates exist the status
+    is "budget-exhausted", with the best among the first max_sets.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -217,31 +243,77 @@ def min_difference_set(
     if n == 1:
         return DiffSetSearchResult("optimal", 0, (1,), (), range_cap, 1)
 
-    best: tuple[int, tuple[int, ...]] | None = None
+    cap, k, ell = range_cap, spec.k, spec.ell
+    total = comb(cap - 1, n - 1)
+    limit = total if max_sets is None else max(0, min(max_sets, total))
+    # Bit cap - y of a reflected mask stands for element y, so R >> (cap - x)
+    # has one bit per difference x - y.  subs[j] holds (difference mask,
+    # reflected mask) for each j-subset of the prefix, j < k; a new element
+    # is checked against the last row.
+    subs = [[(0, 0)]] + [[] for _ in range(k - 1 if k <= n else 0)]
+    last = subs[k - 1] if k <= n else []
+    elems = [1] * n
+    diffs = [0] * n  # per depth: the prefix's difference mask
+    refl = [0] * n  # per depth: the prefix's reflected element mask
+    nxt = [0] * n  # per depth: the next element to try
+    near = [None] * n  # per depth: (need, the x repeating >= need differences)
+    marks = [None] * n  # per depth: row lengths of subs before it was entered
+    best_size = comb(n, 2) + 1  # above any |A - A|
+    best = None
     examined = 0
-    for rest in combinations(range(2, range_cap + 1), n - 1):
-        a = (1,) + rest
-        examined += 1
-        if max_sets is not None and examined > max_sets:
-            return DiffSetSearchResult(
-                "budget-exhausted",
-                best[0] if best else None,
-                best[1] if best else None,
-                difference_set(best[1]) if best else None,
-                range_cap,
-                examined - 1,
-            )
-        mirrored = tuple(a[-1] + 1 - x for x in reversed(a))
-        if mirrored < a:
+    _add_element(subs, cap - 1)
+    p, refl[1], nxt[1] = 1, 1 << (cap - 1), 2
+    while p and examined < limit:
+        r = n - p  # elements still to add, this one included
+        x = nxt[p]
+        D = diffs[p]
+        base = D.bit_count()
+        if base + r >= best_size or x > cap - r + 1:
+            examined += comb(cap - x + 1, r)  # every candidate left at this depth
+            if p > 1:
+                for row, mark in zip(subs, marks[p]):
+                    del row[mark:]
+            p -= 1
             continue
-        if not _diff_property_holds(a, spec):
-            continue
-        size = len({a[j] - a[i] for i in range(n) for j in range(i + 1, n)})
-        cand = (size, a)
-        if best is None or cand < best:
-            best = cand
+        # x adds p differences; it can win only if at least `need` of them
+        # are already in D, and a skipped x..y-1 adds sum comb(cap - z, r - 1)
+        need = base + n - best_size
+        if need > 0:
+            if near[p] is None or near[p][0] != need:
+                atl = [-1] + [0] * need  # atl[c]: the x repeating >= c of them
+                for y in elems[:p]:
+                    hit = D << y
+                    for c in range(need, 0, -1):
+                        atl[c] |= atl[c - 1] & hit
+                near[p] = (need, atl[need])
+            t = near[p][1] >> x
+            y = min(x + (t & -t).bit_length() - 1, cap + 1) if t else cap + 1
+            if y != x:
+                examined += comb(cap - x + 1, r) - comb(cap - y + 1, r)
+                nxt[p] = y
+                continue
+        nxt[p] = x + 1
+        sh = cap - x
+        new_diffs = D | refl[p] >> sh
+        for m, s in last:
+            if (m | s >> sh).bit_count() < ell:
+                examined += comb(sh, r - 1)
+                break
+        else:
+            elems[p] = x
+            if r == 1:
+                examined += 1
+                best_size, best = new_diffs.bit_count(), tuple(elems)
+                continue
+            marks[p + 1] = [len(row) for row in subs]
+            _add_element(subs, sh)
+            p += 1
+            diffs[p], refl[p], nxt[p], near[p] = new_diffs, refl[p - 1] | 1 << sh, x + 1, None
+
+    if limit < total:
+        status, examined = "budget-exhausted", limit
+    else:
+        status = "infeasible" if best is None else "optimal"
     if best is None:
-        return DiffSetSearchResult("infeasible", None, None, None, range_cap, examined)
-    return DiffSetSearchResult(
-        "optimal", best[0], best[1], difference_set(best[1]), range_cap, examined
-    )
+        return DiffSetSearchResult(status, None, None, None, cap, examined)
+    return DiffSetSearchResult(status, best_size, best, difference_set(best), cap, examined)

@@ -12,7 +12,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from localprops import ColoredCompleteGraph, RandomColoringConfig, random_coloring
+from localprops import (
+    ColoredCompleteGraph,
+    DiffSetSearchResult,
+    RandomColoringConfig,
+    difference_set,
+    random_coloring,
+)
 
 
 def brute_verdict(G, k, ell):
@@ -205,6 +211,55 @@ def brute_g_min(n, k, ell, cap):
         if best is None or size < best:
             best, witness = size, a
     return best, witness
+
+
+def brute_min_difference_set(n, k, ell, range_cap, max_sets=None):
+    """Candidate-by-candidate min_difference_set: every (1, a2, ..., an)
+    within the cap in combinations order, each scanned on its own.
+
+    A candidate whose reflection is lexicographically smaller is skipped
+    after it is counted; max_sets caps the candidates counted, and the
+    result is "budget-exhausted" when a candidate lies past it.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > range_cap:
+        raise ValueError(f"n={n} exceeds range cap {range_cap}")
+    if n == 1:
+        return DiffSetSearchResult("optimal", 0, (1,), (), range_cap, 1)
+
+    def holds(a):
+        if k > len(a):
+            return True
+        for sub in combinations(a, k):
+            if len({y - x for x, y in combinations(sub, 2)}) < ell:
+                return False
+        return True
+
+    best = None
+    examined = 0
+    for rest in combinations(range(2, range_cap + 1), n - 1):
+        a = (1,) + rest
+        examined += 1
+        if max_sets is not None and examined > max_sets:
+            return DiffSetSearchResult(
+                "budget-exhausted",
+                best[0] if best else None,
+                best[1] if best else None,
+                difference_set(best[1]) if best else None,
+                range_cap,
+                examined - 1,
+            )
+        if tuple(a[-1] + 1 - x for x in reversed(a)) < a or not holds(a):
+            continue
+        cand = (len({y - x for x, y in combinations(a, 2)}), a)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return DiffSetSearchResult("infeasible", None, None, None, range_cap, examined)
+    return DiffSetSearchResult(
+        "optimal", best[0], best[1], difference_set(best[1]), range_cap, examined
+    )
 
 
 def brute_popular(G, j, a, b):

@@ -33,6 +33,18 @@ def test_usage_errors_exit_2():
     assert run_cli("construct", "--kind", "random-coloring", "--n", "4").returncode == 2
 
 
+def test_construct_missing_option_prints_construct_usage(tmp_path):
+    proc = run_cli(
+        "construct", "--kind", "random-coloring", "--n", "4", "--colors", "2",
+        "--artifact-out", str(tmp_path / "x.json"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: localprops construct ")
+    assert proc.stderr.splitlines()[-1] == (
+        "localprops construct: error: --kind random-coloring requires --seed"
+    )
+
+
 def test_boolean_ids_in_input_exit_2_without_traceback(tmp_path):
     bad = tmp_path / "bool.json"
     for data in ({"n": True, "colors": []}, {"n": 3, "colors": [True, False, 0]}):

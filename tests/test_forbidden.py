@@ -1,3 +1,4 @@
+import gc
 import random
 from math import comb
 
@@ -227,6 +228,18 @@ def test_counting_lemma_matches_unpruned_scan():
         )
         inst = SetSystem(n, sets, d)
         assert counting_lemma_find(inst) == brute_lemma_find(inst)
+
+
+def test_counting_lemma_frees_its_search_state():
+    # the recursive scan must not leave a reference cycle behind
+    gc.collect()
+    gc.disable()
+    try:
+        for sets in ((frozenset({1, 2}),) * 16, (frozenset({1, 2}), frozenset({3, 4}))):
+            counting_lemma_find(SetSystem(5, sets, 2))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_counting_lemma_never_fails_under_hypothesis():

@@ -1,7 +1,10 @@
+import gc
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localprops import (
     LocalSpec,
@@ -22,6 +25,7 @@ from oracles import (
     brute_diff_verdict,
     brute_distance_verdict,
     brute_g_min,
+    brute_min_difference_set,
 )
 
 
@@ -224,6 +228,59 @@ def test_min_difference_set_infeasible_and_budget():
     assert r.status == "budget-exhausted"
     with pytest.raises(ValueError):
         min_difference_set(6, LocalSpec(4, 5), 5)
+
+
+MAX_SETS_GRID = (None, 0, 1, 3, 10, 57, 200)
+
+
+def test_min_difference_set_matches_candidate_scan_exhaustively():
+    # every n <= 6, cap <= 14 and (k, ell), with and without a budget:
+    # status, value, certificate, difference set and sets_examined
+    for n in range(1, 7):
+        for cap in range(n, 15):
+            for k in range(2, 7):
+                for ell in range(1, comb(k, 2) + 1):
+                    for max_sets in MAX_SETS_GRID:
+                        got = min_difference_set(n, LocalSpec(k, ell), cap, max_sets)
+                        want = brute_min_difference_set(n, k, ell, cap, max_sets)
+                        assert got == want, (n, cap, k, ell, max_sets)
+
+
+@st.composite
+def _search_cases(draw):
+    n = draw(st.integers(2, 7))
+    cap = draw(st.integers(n, 16))
+    k = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, comb(k, 2)))
+    max_sets = draw(st.one_of(st.none(), st.integers(0, 3000)))
+    return n, cap, k, ell, max_sets
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_search_cases())
+def test_min_difference_set_matches_candidate_scan_fuzzed(case):
+    n, cap, k, ell, max_sets = case
+    assert min_difference_set(n, LocalSpec(k, ell), cap, max_sets) == brute_min_difference_set(
+        n, k, ell, cap, max_sets
+    )
+
+
+def test_min_difference_set_frees_its_search_state():
+    gc.collect()
+    gc.disable()
+    try:
+        for max_sets in (None, 7):
+            min_difference_set(6, LocalSpec(4, 5), 14, max_sets)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_min_difference_set_has_no_depth_limit():
+    # one candidate, 1200 elements deep: past the default recursion limit
+    r = min_difference_set(1200, LocalSpec(2, 1), 1200)
+    assert (r.status, r.value, r.sets_examined) == ("optimal", 1199, 1)
+    assert r.certificate == tuple(range(1, 1201))
 
 
 def test_integer_set_normalization():
