@@ -10,7 +10,8 @@ A (k, ell) local property asks that every induced subgraph on k vertices
 span at least ell distinct edge colors.  The difference and distance
 properties of numbersets reduce exactly to it, so verify_local_property
 is the one verifier core.  It runs a depth-first scan over k-subsets in
-lexicographic order on int bitmask color sets: a search level with
+lexicographic order on int bitmask color sets, as one loop over an
+explicit stack of search levels, so k has no depth limit: a level with
 prefix P keeps, for every later vertex w, the mask row of the colors on
 the edges from P to w, and a child level ORs its parent's rows with one
 contiguous row slice of edge_colors (row-major storage keeps the edges
@@ -124,6 +125,14 @@ def rainbow(n: int) -> ColoredCompleteGraph:
     return ColoredCompleteGraph(n, tuple(range(edge_count(n))))
 
 
+def _require_ints(values, what: str) -> None:
+    """Refuse anything but ints proper, as the JSON loaders do: bool is an
+    int subclass, and floats or strings would be truncated or parsed."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LocalSpec:
     """A (k, ell) local property: every k vertices span >= ell colors."""
@@ -132,6 +141,7 @@ class LocalSpec:
     ell: int
 
     def __post_init__(self) -> None:
+        _require_ints((self.k, self.ell), "k and ell")
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if not 1 <= self.ell <= self.k * (self.k - 1) // 2:
@@ -168,77 +178,6 @@ def subset_color_count(G: ColoredCompleteGraph, subset) -> int:
     return len(seen)
 
 
-def _first_failure(n: int, edge_colors, num_colors: int, k: int, ell: int):
-    """(witness, count) for the lexicographically least k-subset of K_n
-    spanning fewer than ell colors, or None.
-
-    Edge (u, w), u < w, is edge_colors[at(u) + w] with at(u) = u*n -
-    u*(u+1)//2 - u - 1.  A level extends prefix by each candidate v in
-    [start, stop); the mask row of a vertex w >= start is base[w - base_lo]
-    ORed with the color bits of the edges from the vertices in pending
-    (the tail of prefix that base does not cover yet) to w.
-    """
-    bit = [1 << c for c in range(num_colors)].__getitem__
-    or_ = operator.or_
-
-    def level(prefix, colors, start, base, base_lo, pending):
-        depth = len(prefix) + 1
-        stop = n - k + depth
-        # the first candidate, bit by bit; its child inherits base and pending
-        row = base[start - base_lo] if base is not None else 0
-        for u in pending:
-            row |= 1 << edge_colors[u * n - u * (u + 1) // 2 - u - 1 + start]
-        grown = colors | row
-        count = grown.bit_count()
-        if count < ell:
-            if depth == k:
-                return prefix + (start,), count
-            hit = level(prefix + (start,), grown, start + 1, base, base_lo, pending + (start,))
-            if hit is not None:
-                return hit
-        lo = start + 1
-        if lo == stop:
-            return None
-        # moving past it: the mask rows of lo..n-1, one map per pending row
-        rows = base[lo - base_lo :] if base is not None else None
-        for u in pending:
-            at = u * n - u * (u + 1) // 2 - u - 1
-            bits = map(bit, edge_colors[at + lo : at + n])
-            rows = bits if rows is None else map(or_, rows, bits)
-        if depth == k:
-            for v, row in zip(range(lo, n), rows):
-                row |= colors
-                if row.bit_count() < ell:
-                    return prefix + (v,), row.bit_count()
-            return None
-        masks = list(rows)
-        if depth + 1 < k:
-            for v in range(lo, stop):
-                grown = colors | masks[v - lo]
-                if grown.bit_count() < ell:  # else colors only accumulate: no completion fails
-                    hit = level(prefix + (v,), grown, v + 1, masks, lo, (v,))
-                    if hit is not None:
-                        return hit
-            return None
-        # the candidates' children are the leaves: scan them in place
-        for v in range(lo, stop):
-            grown = colors | masks[v - lo]
-            if grown.bit_count() < ell:
-                at = v * n - v * (v + 1) // 2 - v - 1
-                leaves = map(or_, masks[v + 1 - lo :], map(bit, edge_colors[at + v + 1 : at + n]))
-                for w, row in zip(range(v + 1, n), leaves):
-                    row |= grown
-                    if row.bit_count() < ell:
-                        return prefix + (v, w), row.bit_count()
-        return None
-
-    for v in range(n - k + 1):
-        hit = level((v,), 0, v + 1, None, 0, (v,))
-        if hit is not None:
-            return hit
-    return None
-
-
 def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyVerdict:
     """Check whether every k-subset of vertices spans >= ell colors.
 
@@ -248,23 +187,86 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     The pruning is verdict-identical to a full scan, and the first
     failure found is the lexicographically least one.
 
-    Color sets are int bitmasks.  Each search level keeps one mask row
-    per later vertex (the colors on the edges from the prefix to it), so
-    a candidate costs one OR and one bit_count(), and a child level costs
-    one pass that ORs its parent's rows with a contiguous row slice of
-    edge_colors.  A level checks its first candidate edge by edge and
-    builds its rows only when it moves past that candidate, so a scan
-    that fails on its first k-subset stays O(k^2).  The subsets visited,
-    their order, the pruning rule and the counts are those of a plain set
-    scan, so the verdict, the witness and witness_colors are unchanged.
+    The scan runs on the int-bitmask mask rows the module docstring
+    describes, with no limit on k; the subsets visited, their order, the
+    pruning rule and the counts are those of a plain set scan.  Edge
+    (u, w), u < w, is edge_colors[at(u) + w] with at(u) = u*n -
+    u*(u+1)//2 - u - 1.  A level (prefix, colors, start, base, base_lo,
+    pending) extends prefix by each candidate v >= start; the mask row of
+    a vertex w >= start is base[w - base_lo] ORed with the color bits of
+    the edges from the vertices in pending (the tail of prefix that base
+    does not cover yet) to w.  The stack holds the levels waiting below a
+    candidate, each resumed past that candidate.
     """
-    n, k, ell = G.n, spec.k, spec.ell
+    n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
         raise ValueError(f"k={k} exceeds vertex count n={n}: infeasible query")
-    hit = _first_failure(n, G.edge_colors, G.num_colors, k, ell)
-    if hit is None:
-        return PropertyVerdict(True)
-    return PropertyVerdict(False, *hit)
+    bit = [1 << c for c in range(G.num_colors)].__getitem__
+    or_ = operator.or_
+    stack = []
+    # the current level: the empty prefix (all-zero rows), entered at vertex 0
+    prefix, colors, start, base, base_lo, pending = (), 0, 0, [0] * n, 0, ()
+    depth, entering = 1, True
+    while True:
+        if entering:
+            # the first candidate, bit by bit; its child inherits base and pending
+            row = base[start - base_lo]
+            for u in pending:
+                row |= 1 << edge_colors[u * n - u * (u + 1) // 2 - u - 1 + start]
+            grown = colors | row
+            count = grown.bit_count()
+            if count < ell:
+                if depth == k:
+                    return PropertyVerdict(False, prefix + (start,), count)
+                stack.append((prefix, colors, start, base, base_lo, pending))
+                prefix, colors, pending = prefix + (start,), grown, pending + (start,)
+                start += 1
+                depth += 1
+                continue
+            entering = False
+        elif stack:
+            prefix, colors, start, base, base_lo, pending = stack.pop()
+            depth -= 1
+        else:
+            return PropertyVerdict(True)
+        lo = start + 1
+        stop = n - k + depth
+        if lo == stop:
+            continue
+        if pending:
+            # moving past the first candidate: the mask rows of lo..n-1
+            rows = base[lo - base_lo :]
+            for u in pending:
+                at = u * n - u * (u + 1) // 2 - u - 1
+                rows = map(or_, rows, map(bit, edge_colors[at + lo : at + n]))
+            if depth == k:
+                for v, row in zip(range(lo, n), rows):
+                    row |= colors
+                    if row.bit_count() < ell:
+                        return PropertyVerdict(False, prefix + (v,), row.bit_count())
+                continue
+            base, base_lo = list(rows), lo
+        # else base already holds the rows: the level resumes past a candidate
+        if depth + 1 < k:
+            for v in range(lo, stop):
+                grown = colors | base[v - base_lo]
+                if grown.bit_count() < ell:  # else colors only accumulate: no completion fails
+                    stack.append((prefix, colors, v, base, base_lo, ()))
+                    prefix, colors, start, pending = prefix + (v,), grown, v + 1, (v,)
+                    depth += 1
+                    entering = True
+                    break
+            continue
+        # the candidates' children are the leaves: scan them in place
+        for v in range(lo, stop):
+            grown = colors | base[v - base_lo]
+            if grown.bit_count() < ell:
+                at = v * n - v * (v + 1) // 2 - v - 1
+                leaves = map(or_, base[v + 1 - base_lo :], map(bit, edge_colors[at + v + 1 : at + n]))
+                for w, row in zip(range(v + 1, n), leaves):
+                    row |= grown
+                    if row.bit_count() < ell:
+                        return PropertyVerdict(False, prefix + (v, w), row.bit_count())
 
 
 def color_histogram(G: ColoredCompleteGraph) -> Counter:

@@ -125,24 +125,23 @@ def _sphere_counts(dim: int) -> list[int]:
     return counts
 
 
-def _sphere_elements(dim: int, base: int, radius: int) -> list[int]:
-    """All integers whose digit vector lies on the given squared-norm sphere."""
+def _sphere_elements(dim: int, base: int, radius: int):
+    """All integers whose digit vector lies on the given squared-norm sphere
+    (in no particular order)."""
     powers = [base**t for t in range(dim)]
     max_sq = (dim - 1) * (dim - 1)
-    out: list[int] = []
-
-    def rec(pos: int, rem: int, val: int) -> None:
-        if rem < 0 or rem > (dim - pos) * max_sq:
-            return
+    # (digits placed, squared norm still to reach, value so far); only
+    # prefixes the remaining digits can still complete are pushed
+    stack = [(0, radius, 0)]
+    while stack:
+        pos, rem, val = stack.pop()
         if pos == dim:
-            if rem == 0:
-                out.append(val)
-            return
+            yield val
+            continue
+        room = (dim - pos - 1) * max_sq
         for x in range(dim):
-            rec(pos + 1, rem - x * x, val + x * powers[pos])
-
-    rec(0, radius, 0)
-    return out
+            if 0 <= rem - x * x <= room:
+                stack.append((pos + 1, rem - x * x, val + x * powers[pos]))
 
 
 def behrend_set(size_target: int) -> tuple[int, ...]:

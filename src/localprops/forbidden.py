@@ -223,8 +223,9 @@ def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
     exists, so None is only possible below the hypothesis.  Indices are
     0-based positions into inst.sets.  The prefix scan prunes exactly:
     an intersection can only shrink, so a prefix below the threshold is
-    skipped without losing any qualifying completion.  The scan recurses
-    once per chosen set, so a d past the recursion limit raises ValueError.
+    skipped without losing any qualifying completion.  The scan is one
+    loop over per-depth state (the next index to try and the prefix's
+    intersection), so d has no limit.
     """
     d, n = inst.d, inst.n
     k = len(inst.sets)
@@ -241,22 +242,19 @@ def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
             acc |= 1 << x
         masks.append(acc)
 
-    def rec(start: int, chosen: tuple[int, ...], inter: int):
-        if len(chosen) == d:
-            return chosen, inter.bit_count()
-        for idx in range(start, k - (d - len(chosen)) + 1):
-            grown = inter & masks[idx] if chosen else masks[idx]
-            if factor * grown.bit_count() >= rhs:
-                hit = rec(idx + 1, chosen + (idx,), grown)
-                if hit is not None:
-                    return hit
-        return None
-
-    try:
-        return rec(0, (), 0)
-    except RecursionError:
-        raise ValueError(
-            f"d={d}: the search recurses once per chosen set, {d} deep, past the recursion limit"
-        ) from None
-    finally:
-        rec = None  # rec sits in its own closure: break the cycle, free state now
+    nxt = [0] * d  # per depth: the next index to try, one past the chosen one
+    inters = [-1] * d  # per depth: the prefix's intersection (-1: no set yet)
+    depth = 0
+    while depth >= 0:
+        idx = nxt[depth]
+        if idx > k - d + depth:  # too few sets left to complete the tuple
+            depth -= 1
+            continue
+        nxt[depth] = idx + 1
+        grown = inters[depth] & masks[idx]
+        if factor * grown.bit_count() >= rhs:
+            if depth + 1 == d:
+                return tuple(i - 1 for i in nxt), grown.bit_count()
+            depth += 1
+            nxt[depth], inters[depth] = idx + 1, grown
+    return None

@@ -33,7 +33,13 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .coloring import ColoredCompleteGraph, LocalSpec, PropertyVerdict, verify_local_property
+from .coloring import (
+    ColoredCompleteGraph,
+    LocalSpec,
+    PropertyVerdict,
+    _require_ints,
+    verify_local_property,
+)
 
 __all__ = [
     "integer_set",
@@ -53,13 +59,15 @@ __all__ = [
 
 def integer_set(values) -> tuple[int, ...]:
     """Normalize to a strictly increasing tuple of ints (duplicates collapse)."""
-    out = tuple(sorted(set(int(v) for v in values)))
-    return out
+    values = tuple(values)
+    _require_ints(values, "set elements")
+    return tuple(sorted(set(values)))
 
 
 def point_set(points) -> tuple[tuple[int, int], ...]:
     """Validate a sequence of distinct integer points, preserving order."""
-    pts = tuple((int(x), int(y)) for x, y in points)
+    pts = tuple((x, y) for x, y in points)
+    _require_ints((v for p in pts for v in p), "point coordinates")
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     return pts

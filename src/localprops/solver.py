@@ -1,14 +1,14 @@
 """Exact minimum-color search for (k, ell) local properties on K_n.
 
-feasible() runs a depth-first search assigning colors edge by edge in
-vertex-at-a-time order ((0,1), (0,2), (1,2), (0,3), ...), so every
-k-subset inside the already-colored prefix completes as early as
-possible.  Color symmetry is broken by first-use ordering: a branch may
-open color id max_used+1 but nothing beyond it.  After each assignment,
-every k-subset whose state just changed is checked with the admissible
-bound distinct_so_far + unassigned_edges >= ell; at the subset's last
-edge the bound is its exact color count, so the pruned search is
-verdict-identical to an unpruned scan.
+feasible() runs a depth-first search, one loop over per-position state,
+assigning colors edge by edge in vertex-at-a-time order ((0,1), (0,2),
+(1,2), (0,3), ...), so every k-subset inside the already-colored prefix
+completes as early as possible.  Color symmetry is broken by first-use
+ordering: a branch may open color id max_used+1 but nothing beyond it.
+After each assignment, every k-subset whose state just changed is
+checked with the admissible bound distinct_so_far + unassigned_edges >=
+ell; at the subset's last edge the bound is its exact color count, so
+the pruned search is verdict-identical to an unpruned scan.
 
 The search state is one int bitmask of colors per k-subset and step,
 held in a flat list of slots.  A k-subset {j} | U (j its largest vertex)
@@ -32,6 +32,7 @@ in assignment order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -54,8 +55,8 @@ class SolveBudget:
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
+        if self.time_limit_s is not None and not 0 < self.time_limit_s < math.inf:
+            raise ValueError("time_limit_s must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,6 @@ class SolveResult:
     log: tuple[tuple[int, int, str], ...]  # (colors tried, nodes, outcome)
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 def _assignment_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
@@ -90,7 +87,7 @@ def _assignment_order(n: int) -> list[tuple[int, int]]:
 _Table = tuple[list[list[tuple[int, tuple[int, ...]]]], list[list[tuple[int, int, int]]], int]
 
 
-def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table:
+def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table | None:
     """Slot table for the DFS: (fills, checks, slot count).
 
     Assigning edge (i, j) changes the k-subsets {j} | U with U a
@@ -102,7 +99,7 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     step (i = max U) nothing reads the mask again, so slot is the shared
     sink 0.  fills[p] holds (base slot, positions of the edges inside U)
     for every U with max(U) + 1 == j, filled when position p = (0, j) is
-    entered.  Raises _OutOfBudget once deadline passes (checked once per
+    entered.  Returns None once deadline passes (checked once per
     assignment position).
     """
     order = _assignment_order(n)
@@ -114,7 +111,7 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     slots = 1  # slot 0 is the sink
     for p, (i, j) in enumerate(order):
         if deadline is not None and time.monotonic() > deadline:
-            raise _OutOfBudget
+            return None
         if j < k - 1:
             continue
         if i == 0:
@@ -153,8 +150,9 @@ def feasible(
     assignment order) as a certificate, re-encoded in the row-major
     edge index.  The deadline also bounds building the slot table;
     min_colors passes one table, built for this (n, spec), to every level.
-    The search recurses once per edge, so an n whose C(n,2) passes the
-    recursion limit (n >= 46 at the default limit) raises ValueError.
+    The search is one loop over per-position state (the color assigned
+    and the highest color a branch may take), so its depth, C(n,2), has
+    no limit.
     """
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
@@ -164,36 +162,33 @@ def feasible(
         # some k-subset exists (k <= n) and sees at most c < ell colors
         return FeasibleOutcome("no", None, 0)
     if _table is None:
-        try:
-            _table = _subset_checks(n, spec.k, spec.ell, deadline)
-        except _OutOfBudget:
+        _table = _subset_checks(n, spec.k, spec.ell, deadline)
+        if _table is None:
             return FeasibleOutcome("exhausted", None, 0)
     fills, checks, slots = _table
     order = _assignment_order(n)
     m = len(order)
     cols = [-1] * m
+    tops = [0] * (m + 1)  # per position: the highest color its branches may take
     state = [0] * slots
     node_limit = budget.node_limit if budget else None
     nodes = 0
-
-    def dfs(pos: int, max_used: int) -> bool:
-        nonlocal nodes
-        if pos == m:
-            return True
-        for slot, edges in fills[pos]:
-            mask = 0
-            for q in edges:
-                mask |= 1 << cols[q]
-            state[slot] = mask
-        top = min(max_used + 1, c - 1)
+    pos, col = 0, 0  # the position and the next color to try there
+    while 0 <= pos < m:
+        if col == 0:  # entering pos: fill the base slots it opens
+            for slot, edges in fills[pos]:
+                mask = 0
+                for q in edges:
+                    mask |= 1 << cols[q]
+                state[slot] = mask
         my_checks = checks[pos]
-        for col in range(top + 1):
+        top = tops[pos]
+        for col in range(col, top + 1):
             nodes += 1
             if node_limit is not None and nodes > node_limit:
-                raise _OutOfBudget
+                return FeasibleOutcome("exhausted", None, nodes)
             if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                raise _OutOfBudget
-            cols[pos] = col
+                return FeasibleOutcome("exhausted", None, nodes)
             bit = 1 << col
             for slot, prev, need in my_checks:
                 grown = state[prev] | bit
@@ -201,22 +196,16 @@ def feasible(
                     break
                 state[slot] = grown
             else:
-                if dfs(pos + 1, max(max_used, col)):
-                    return True
-        cols[pos] = -1
-        return False
-
-    try:
-        found = dfs(0, -1)
-    except _OutOfBudget:
-        return FeasibleOutcome("exhausted", None, nodes)
-    except RecursionError:
-        raise ValueError(
-            f"n={n}: the search recurses once per edge, {m} deep, past the recursion limit"
-        ) from None
-    finally:
-        dfs = None  # dfs sits in its own closure: break the cycle, free state now
-    if not found:
+                cols[pos] = col
+                pos += 1
+                # first use: taking the top color lets the next position open one more
+                tops[pos] = top + 1 if col == top < c - 1 else top
+                col = 0
+                break
+        else:
+            pos -= 1
+            col = cols[pos] + 1
+    if pos < m:
         return FeasibleOutcome("no", None, nodes)
     row_major = [0] * m
     for p, (i, j) in enumerate(order):
@@ -258,9 +247,8 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
     table = None  # built at the first level that searches
     for c in range(start, edge_count(n) + 1):
         if table is None and c >= spec.ell:
-            try:
-                table = _subset_checks(n, spec.k, spec.ell, deadline)
-            except _OutOfBudget:
+            table = _subset_checks(n, spec.k, spec.ell, deadline)
+            if table is None:
                 log.append((c, 0, "exhausted"))
                 break
         out = feasible(n, spec, c, budget, deadline, _table=table)

@@ -199,22 +199,55 @@ def test_solve_f_deterministic(tmp_path):
     assert run_cli("solve-f", "--n", "5", "--k", "3", "--ell", "3", "--threads", "4").returncode == 2
 
 
-def test_solve_f_too_deep_exits_2_without_traceback():
+def test_solve_f_deep_search_ends_without_traceback():
+    # 1225 edges deep: the search has no depth limit, and (2,1) needs one color
     proc = run_cli("solve-f", "--n", "50", "--k", "2", "--ell", "1")
-    assert proc.returncode == 2
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("localprops: error: ") and proc.stderr.count("\n") == 1
-    assert "1225 deep" in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["status"], payload["value"]) == ("optimal", 1)
 
 
-def test_lemma_check_too_deep_exits_2_without_traceback(tmp_path):
+def test_lemma_check_deep_search_ends_without_traceback(tmp_path):
     f = tmp_path / "deep.json"
     f.write_text(dump_json({"n": 1, "sets": [[0]] * 1100, "d": 1100}))
     proc = run_cli("lemma-check", "--input", str(f))
-    assert proc.returncode == 2
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "found"
+    assert payload["indices"] == list(range(1100)) and payload["intersection_size"] == 1
+
+
+def test_verify_coloring_deep_scan_fails_without_traceback(tmp_path):
+    # one k-subset, 1100 vertices deep
+    f = tmp_path / "mono.json"
+    f.write_text(json.dumps({"n": 1100, "colors": [0] * (1100 * 1099 // 2)}))
+    proc = run_cli("verify-coloring", "--input", str(f), "--k", "1100", "--ell", "2")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "fails"
+    assert payload["witness"] == list(range(1100)) and payload["witness_colors"] == 1
+
+
+def test_verify_diffset_deep_scan_fails_without_traceback(tmp_path):
+    f = tmp_path / "interval.json"
+    f.write_text(json.dumps(list(range(1, 1101))))
+    proc = run_cli("verify-diffset", "--input", str(f), "--k", "1100", "--ell", "1100")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "fails"
+    assert payload["witness"] == list(range(1, 1101)) and payload["witness_colors"] == 1099
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf"])
+def test_solve_f_non_finite_time_limit_exits_2(limit):
+    proc = run_cli("solve-f", "--n", "5", "--k", "3", "--ell", "3", "--time-limit", limit)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("localprops: error: ") and proc.stderr.count("\n") == 1
-    assert "1100 deep" in proc.stderr
 
 
 def test_solve_f_unsatisfiable_and_infeasible():

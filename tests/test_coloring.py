@@ -3,6 +3,8 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localprops import (
     ColoredCompleteGraph,
@@ -98,6 +100,36 @@ def test_pruned_scan_matches_unpruned_oracle():
         assert verdict.holds == holds
         assert verdict.witness == witness
         assert verdict.witness_colors == count
+
+
+@st.composite
+def _verify_cases(draw):
+    n = draw(st.integers(2, 9))
+    c = draw(st.integers(1, comb(n, 2)))
+    colors = draw(st.lists(st.integers(0, c - 1), min_size=comb(n, 2), max_size=comb(n, 2)))
+    k = draw(st.integers(2, n))
+    ell = draw(st.integers(1, comb(k, 2)))
+    return ColoredCompleteGraph.from_sparse(n, colors), k, ell
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_verify_cases())
+def test_pruned_scan_matches_unpruned_oracle_fuzzed(case):
+    g, k, ell = case
+    verdict = verify_local_property(g, LocalSpec(k, ell))
+    assert (verdict.holds, verdict.witness, verdict.witness_colors) == brute_verdict(g, k, ell)
+
+
+def test_verify_local_property_has_no_depth_limit():
+    # the one k-subset, 1100 vertices deep
+    v = verify_local_property(monochromatic(1100), LocalSpec(1100, 2))
+    assert (v.holds, v.witness, v.witness_colors) == (False, tuple(range(1100)), 1)
+
+
+def test_local_spec_takes_only_ints():
+    for k, ell in ((3.0, 2), (3, True), (True, 1), ("3", 2), (3, 2.0)):
+        with pytest.raises(ValueError, match="integers"):
+            LocalSpec(k, ell)
 
 
 def test_pruned_scan_exhaustive_on_k4_colorings():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 from math import isqrt, prod
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from localprops import (
     verify_isosceles_free,
     verify_no_3ap,
 )
+from localprops.constructions import _sphere_elements
 from oracles import brute_isosceles, brute_no_3ap
 
 
@@ -166,6 +168,18 @@ def test_behrend_fuzz_targets():
         assert len(out) >= target
         assert verify_no_3ap(out) is None
         assert brute_no_3ap(out) is None
+
+
+def test_sphere_elements_match_digit_vector_enumeration():
+    for dim in range(1, 6):
+        base = 2 * dim - 1
+        by_radius = {}
+        for digits in product(range(dim), repeat=dim):
+            value = sum(x * base**t for t, x in enumerate(digits))
+            by_radius.setdefault(sum(x * x for x in digits), []).append(value)
+        for radius in range(dim * (dim - 1) ** 2 + 1):
+            got = _sphere_elements(dim, base, radius)
+            assert sorted(got) == sorted(by_radius.get(radius, [])), (dim, radius)
 
 
 def test_verify_no_3ap_examples():

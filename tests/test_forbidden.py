@@ -3,6 +3,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localprops import (
     BudgetExceededError,
@@ -228,6 +230,27 @@ def test_counting_lemma_matches_unpruned_scan():
         )
         inst = SetSystem(n, sets, d)
         assert counting_lemma_find(inst) == brute_lemma_find(inst)
+
+
+@st.composite
+def _set_systems(draw):
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(2, 5))
+    sets = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=12)
+    )
+    return SetSystem(n, tuple(sets), d)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_set_systems())
+def test_counting_lemma_matches_unpruned_scan_fuzzed(inst):
+    assert counting_lemma_find(inst) == brute_lemma_find(inst)
+
+
+def test_counting_lemma_has_no_depth_limit():
+    inst = SetSystem(1, (frozenset({0}),) * 1100, 1100)
+    assert counting_lemma_find(inst) == (tuple(range(1100)), 1)
 
 
 def test_counting_lemma_frees_its_search_state():

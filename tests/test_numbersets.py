@@ -15,6 +15,7 @@ from localprops import (
     distance_color_graph,
     integer_set,
     min_difference_set,
+    point_set,
     repeated_difference_bound_check,
     sum_set,
     verify_diff_local_property,
@@ -286,6 +287,28 @@ def test_min_difference_set_has_no_depth_limit():
 def test_integer_set_normalization():
     assert integer_set([3, 1, 3, 2]) == (1, 2, 3)
     assert integer_set([]) == ()
+
+
+def test_integer_set_takes_only_ints():
+    # nothing is truncated, parsed or merged: 1.9, '7' and True are refused
+    for bad in ([1.9, 2.2, True, "7"], [1, 2.0], [1, True], ["7"], [3, 1.5]):
+        with pytest.raises(ValueError, match="integers"):
+            integer_set(bad)
+    with pytest.raises(ValueError, match="integers"):
+        verify_diff_local_property([1.5, 2.9, 4.2], LocalSpec(3, 2))
+
+
+def test_point_set_takes_only_int_coordinates():
+    for bad in ([(0, 0), (1.5, 2)], [(0, 0), (1, 2.0)], [(True, 0), (2, 2)], [("1", 0)]):
+        with pytest.raises(ValueError, match="integers"):
+            point_set(bad)
+    assert point_set([[0, 0], (3, 4)]) == ((0, 0), (3, 4))
+
+
+def test_diff_verifier_has_no_depth_limit():
+    # {1..1100} has 1099 differences, one short of ell
+    v = verify_diff_local_property(range(1, 1101), LocalSpec(1100, 1100))
+    assert (v.holds, v.witness, v.witness_colors) == (False, tuple(range(1, 1101)), 1099)
 
 
 def _verdict(v):

@@ -5,6 +5,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localprops import (
     ColoredCompleteGraph,
@@ -68,6 +70,50 @@ def test_feasible_matches_partition_oracle_at_every_level():
                 if out.status == "yes":
                     assert out.certificate.num_colors <= c
                     assert brute_verdict(out.certificate, k, ell)[0], (n, k, ell, c)
+
+
+@st.composite
+def _levels(draw):
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(2, n))
+    ell = draw(st.integers(1, comb(k, 2)))
+    c = draw(st.integers(1, comb(n, 2)))
+    node_limit = draw(st.integers(1, 300))
+    return n, k, ell, c, node_limit
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_levels())
+def test_feasible_and_min_colors_match_partition_oracle_fuzzed(case):
+    n, k, ell, c, node_limit = case
+    want = oracle_table(n)[(k, ell)]
+    out = feasible(n, LocalSpec(k, ell), c)
+    assert out.status == ("yes" if c >= want else "no")
+    if out.status == "yes":
+        assert out.certificate.num_colors <= c
+        assert brute_verdict(out.certificate, k, ell)[0]
+    # a node budget either covers the whole search or stops one node past it
+    capped = feasible(n, LocalSpec(k, ell), c, SolveBudget(node_limit=node_limit))
+    if out.nodes <= node_limit:
+        assert capped == out
+    else:
+        assert (capped.status, capped.certificate, capped.nodes) == ("exhausted", None, node_limit + 1)
+    res = min_colors(n, LocalSpec(k, ell))
+    assert (res.status, res.value, res.lower_bound) == ("optimal", want, want)
+
+
+def test_min_colors_has_no_depth_limit():
+    # 1225 edges deep; (2,1) holds with one color
+    res = min_colors(50, LocalSpec(2, 1))
+    assert (res.status, res.value, res.log) == ("optimal", 1, ((1, 1225, "yes"),))
+    assert res.certificate == ColoredCompleteGraph(50, (0,) * 1225)
+
+
+def test_solve_budget_needs_a_finite_positive_time_limit():
+    for bad in (float("nan"), float("inf"), float("-inf"), 0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolveBudget(time_limit_s=bad)
+    assert SolveBudget(time_limit_s=2).time_limit_s == 2
 
 
 def test_search_is_pinned_level_by_level():
