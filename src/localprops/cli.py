@@ -24,6 +24,13 @@ or failure report); 2 on usage or parse errors.  Budget exhaustion is a
 status field in the payload, not an exit code.  Randomized subcommands
 require an explicit --seed and never read clocks or environment
 variables, so identical command lines produce byte-identical payloads.
+
+The options are data: each subcommand is one row of COMMANDS giving its
+name, help line, handler and options in the order help lists them, each
+option a flag with its add_argument keywords (type, required, choices,
+default, help); every subcommand also takes --output.  main() builds the
+parser from that table on its first call and reuses it for every later
+call in the process; importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import argparse
 import csv
 import io as _io
 import sys
-from functools import partial
+from functools import cache
 from math import comb
 from operator import attrgetter
 from pathlib import Path
@@ -99,7 +106,14 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _cmd_verify(args, load, size, verify) -> int:
+def _cmd_verify(args) -> int:
+    # looked up per call, so the cached parser binds no library function
+    # and a patched module-level name takes effect on the next call
+    load, size, verify = {
+        "verify-coloring": (load_coloring, attrgetter("n"), verify_local_property),
+        "verify-diffset": (load_integer_set, len, verify_diff_local_property),
+        "verify-distances": (load_point_set, len, verify_distance_local_property),
+    }[args.subcommand]
     spec = LocalSpec(args.k, args.ell)
     instance = load(args.input)
     params = {"k": args.k, "ell": args.ell, "n": size(instance)}
@@ -120,30 +134,28 @@ def _cmd_verify(args, load, size, verify) -> int:
     return 0 if verdict.holds else 1
 
 
-def _require(args, parser, names) -> None:
+def _require(args, names) -> None:
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
-        parser.error(
-            f"--kind {args.kind} requires {', '.join(missing)}"
-        )
+        args.parser.error(f"--kind {args.kind} requires {', '.join(missing)}")
 
 
-def _cmd_construct(args, parser) -> int:
+def _cmd_construct(args) -> int:
     kind = args.kind
     if kind == "random-coloring":
-        _require(args, parser, ["n", "colors", "seed", "artifact_out"])
+        _require(args, ["n", "colors", "seed", "artifact_out"])
         G = random_coloring(RandomColoringConfig(args.n, args.colors, args.seed))
         save_coloring(args.artifact_out, G)
         params = {"n": args.n, "colors": args.colors, "seed": args.seed}
         fields = {"artifact": args.artifact_out, "num_colors_used": G.num_colors}
     elif kind == "behrend":
-        _require(args, parser, ["size_target", "artifact_out"])
+        _require(args, ["size_target", "artifact_out"])
         out = behrend_set(args.size_target)
         save_integer_set(args.artifact_out, out)
         params = {"size_target": args.size_target}
         fields = {"artifact": args.artifact_out, "size": len(out), "max_element": out[-1]}
     elif kind == "collinear-points":
-        _require(args, parser, ["input", "artifact_out"])
+        _require(args, ["input", "artifact_out"])
         a = load_integer_set(args.input)
         if not a:
             raise ValueError("input set is empty")
@@ -152,7 +164,7 @@ def _cmd_construct(args, parser) -> int:
         params = {}
         fields = {"artifact": args.artifact_out, "size": len(pts)}
     else:  # estimate-probability
-        _require(args, parser, ["n", "colors", "k", "ell", "trials", "seed"])
+        _require(args, ["n", "colors", "k", "ell", "trials", "seed"])
         spec = LocalSpec(args.k, args.ell)
         if spec.k > args.n:
             params = {"kind": kind, "n": args.n, "k": args.k, "ell": args.ell}
@@ -346,99 +358,76 @@ def _cmd_lemma_check(args) -> int:
     return 0 if hit else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_FORMAT = {"choices": ["json", "csv"], "default": "json"}
+_VERIFY = {"--input": _REQUIRED, "--k": _REQUIRED_INT, "--ell": _REQUIRED_INT}
+_N_K_ELL = dict.fromkeys(["--n", "--k", "--ell"], _REQUIRED_INT)
+_OUTPUT = {"--output": {"help": "payload destination (default stdout)"}}
+
+# (subcommand, help, handler, {flag: add_argument keywords}) in the order
+# the parser lists them; _parser() adds --output last to each.
+COMMANDS = (
+    ("verify-coloring", "verify coloring against a (k, ell) spec", _cmd_verify, _VERIFY),
+    ("verify-diffset", "verify diffset against a (k, ell) spec", _cmd_verify, _VERIFY),
+    ("verify-distances", "verify distances against a (k, ell) spec", _cmd_verify, _VERIFY),
+    ("construct", "generators and the probability estimator", _cmd_construct, {
+        "--kind": {
+            "required": True,
+            "choices": ["random-coloring", "behrend", "collinear-points", "estimate-probability"],
+        },
+        **dict.fromkeys(["--n", "--colors", "--k", "--ell", "--seed", "--trials", "--size-target"], _INT),
+        "--input": {},
+        "--artifact-out": {"help": "where the constructed object is written"},
+    }),
+    ("solve-f", "exact minimum color count with certificate", _cmd_solve_f, {
+        **_N_K_ELL,
+        "--node-limit": _INT,
+        "--time-limit": {"type": float},
+        "--certificate-out": {},
+        "--log-out": {"help": "per-level CSV search log"},
+    }),
+    ("solve-g", "exact minimum difference-set size over a capped range", _cmd_solve_g, {
+        **_N_K_ELL,
+        "--range-cap": _REQUIRED_INT,
+        "--max-sets": _INT,
+        "--certificate-out": {},
+    }),
+    ("energy", "color energy, its floor, and the dyadic split", _cmd_energy,
+     {"--input": _REQUIRED, "--format": _FORMAT}),
+    ("profile", "dyadic profile and per-j bound report", _cmd_profile, {
+        "--input": _REQUIRED,
+        "--k": _REQUIRED_INT,
+        "--m": _REQUIRED_INT,
+        "--locate": {"action": "store_true", "help": "locate forbidden configs on rich-bound violations"},
+        "--tuple-budget": {"type": int, "default": 1_000_000},
+        "--format": _FORMAT,
+    }),
+    ("lemma-check", "search a set system for a dense d-wise intersection", _cmd_lemma_check,
+     {"--input": _REQUIRED}),
+)
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser for COMMANDS, built on the first main() call and then reused."""
     parser = argparse.ArgumentParser(
         prog="localprops",
         description="Verify, construct, solve and profile local-property instances.",
     )
     parser.add_argument("--version", action="version", version=f"localprops {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--output", help="payload destination (default stdout)")
-
-    for name, load, size, verify in (
-        ("verify-coloring", load_coloring, attrgetter("n"), verify_local_property),
-        ("verify-diffset", load_integer_set, len, verify_diff_local_property),
-        ("verify-distances", load_point_set, len, verify_distance_local_property),
-    ):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} against a (k, ell) spec")
-        p.set_defaults(func=partial(_cmd_verify, load=load, size=size, verify=verify))
-        p.add_argument("--input", required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--ell", type=int, required=True)
-        common(p)
-
-    p = sub.add_parser("construct", help="generators and the probability estimator")
-    p.set_defaults(func=partial(_cmd_construct, parser=p))
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "random-coloring",
-            "behrend",
-            "collinear-points",
-            "estimate-probability",
-        ],
-    )
-    p.add_argument("--n", type=int)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--size-target", type=int)
-    p.add_argument("--input")
-    p.add_argument("--artifact-out", help="where the constructed object is written")
-    common(p)
-
-    p = sub.add_parser("solve-f", help="exact minimum color count with certificate")
-    p.set_defaults(func=_cmd_solve_f)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--node-limit", type=int)
-    p.add_argument("--time-limit", type=float)
-    p.add_argument("--certificate-out")
-    p.add_argument("--log-out", help="per-level CSV search log")
-    common(p)
-
-    p = sub.add_parser("solve-g", help="exact minimum difference-set size over a capped range")
-    p.set_defaults(func=_cmd_solve_g)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--range-cap", type=int, required=True)
-    p.add_argument("--max-sets", type=int)
-    p.add_argument("--certificate-out")
-    common(p)
-
-    p = sub.add_parser("energy", help="color energy, its floor, and the dyadic split")
-    p.set_defaults(func=_cmd_energy)
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
-
-    p = sub.add_parser("profile", help="dyadic profile and per-j bound report")
-    p.set_defaults(func=_cmd_profile)
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--locate", action="store_true", help="locate forbidden configs on rich-bound violations")
-    p.add_argument("--tuple-budget", type=int, default=1_000_000)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
-
-    p = sub.add_parser("lemma-check", help="search a set system for a dense d-wise intersection")
-    p.set_defaults(func=_cmd_lemma_check)
-    p.add_argument("--input", required=True)
-    common(p)
-
+    for name, help_text, handler, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=handler, parser=p)
+        for flag, keywords in {**options, **_OUTPUT}.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -82,6 +82,7 @@ class ColoredCompleteGraph:
     num_colors: int = field(init=False)
 
     def __post_init__(self) -> None:
+        _require_ints((self.n,), "n")
         if self.n < 1:
             raise ValueError("need at least one vertex")
         colors = tuple(self.edge_colors)

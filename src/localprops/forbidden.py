@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .coloring import ColoredCompleteGraph, LocalSpec, color_histogram, edge_pairs
+from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, color_histogram, edge_pairs
 
 __all__ = [
     "BudgetExceededError",
@@ -192,6 +192,7 @@ class SetSystem:
     d: int
 
     def __post_init__(self) -> None:
+        _require_ints((self.n, self.d), "n and d")
         if self.n < 1:
             raise ValueError("universe must be nonempty")
         if self.d < 2:

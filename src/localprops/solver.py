@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .coloring import ColoredCompleteGraph, LocalSpec, edge_count, edge_index
+from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count, edge_index
 
 __all__ = ["SolveBudget", "FeasibleOutcome", "SolveResult", "feasible", "min_colors"]
 
@@ -235,6 +235,7 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
     budget is recorded as unknown and skipped, which can only weaken the
     result from "optimal" to "bound-only".
     """
+    _require_ints((n,), "n")
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
     deadline = None

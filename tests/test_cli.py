@@ -515,3 +515,108 @@ def _run_golden(directory, argv, written, usage_error):
 def test_golden_cli_bytes(tmp_path, name, argv, written, usage_error):
     rc, digest, out, err = _run_golden(tmp_path, argv, written, usage_error)
     assert [rc, digest] == GOLDEN_PINS[name], (out, err)
+
+
+# ---------------------------------------------------------------- help and usage bytes
+#
+# What argparse writes: --help at the top level and for every subcommand
+# (one sha256 over stdout and stderr), and the stderr of the usage-error
+# golden cases, which the pins above leave out.  The wrap width is fixed
+# at 80 columns.  argparse lays help out differently from one Python
+# minor version to the next, so these pins hold for the one they were
+# recorded under.
+
+PINNED_PYTHON = (3, 11)
+
+HELP_PINS = {
+    "": "7a429acbf918162b291844a05c7132a6b473ea43f2e1edcd2b4b4f75a6bc2fb0",
+    "verify-coloring": "64d298a0716a5841e5b1f2db6d9d7e06d4dda9523864b82a256321094a8ee092",
+    "verify-diffset": "0d9ba0c66e28381630de6179af6bb33724e8e02c39f4947c9ddc2c79fa87f476",
+    "verify-distances": "cbe3706c5405f4f74cc2cebcddedbc196ebe36eb961fb430e78264dcd0a80236",
+    "construct": "7d48dcb97f76536b5822e03b9b6fd8da73f282e7468d3eea35d42caa387d0809",
+    "solve-f": "43e1c445050689aa790bc6e190a7d888bba286146d1c4e1978ccd02ff6265cd6",
+    "solve-g": "6b7e890e391024ab4108ef28e483254f52d832c5c505a1b8e62a153ef72b2959",
+    "energy": "228e477037ae6885c730a80fe71bdca662bddd23e8c26de11c37f2d8efe4c058",
+    "profile": "55689e0de706b4f8476f5ff0410157f571587072f960d8f5a5d0cddecf367bfb",
+    "lemma-check": "2f572aa3a2367ad968df2093705ea5a08daa91a191e5d190a427a0a12b0b243a",
+}
+
+USAGE_STDERR_PINS = {
+    "usage-no-subcommand": "e990711220e5db14b89bca1c0aa9919e14cfa5fbc36e0358685ba746b892562e",
+    "usage-unknown-subcommand": "f2acda4867b547fec604d7a040dfdef0e4abe30d2b5738cde4aac3849c2a383c",
+    "usage-missing-option": "e5612f9e7f602ce8a429a9320a380bf3858031c00becf61ee9410492db41029f",
+    "construct-missing-seed": "c3a69a82ab05aebf59d9a35564d3a50e1e10719f81c50e38c4cda761c7fd8504",
+}
+
+CASES_BY_NAME = {case[0]: case[1:] for case in GOLDEN_CASES}
+
+pinned_python = pytest.mark.skipif(
+    sys.version_info[:2] != PINNED_PYTHON,
+    reason=f"help and usage bytes are pinned for Python {PINNED_PYTHON[0]}.{PINNED_PYTHON[1]}",
+)
+
+
+@pinned_python
+@pytest.mark.parametrize("subcommand", HELP_PINS, ids=lambda s: s or "top-level")
+def test_help_bytes(tmp_path, monkeypatch, subcommand):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = f"{subcommand} --help".strip()
+    rc, _, out, err = _run_golden(tmp_path, argv, (), False)
+    record = b"\0".join([b"stdout", out.encode(), b"stderr", err.encode()])
+    assert [rc, hashlib.sha256(record).hexdigest()] == [0, HELP_PINS[subcommand]], (out, err)
+
+
+@pinned_python
+@pytest.mark.parametrize("name", USAGE_STDERR_PINS)
+def test_usage_stderr_bytes(tmp_path, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, _, _, err = _run_golden(tmp_path, *CASES_BY_NAME[name])
+    assert [rc, hashlib.sha256(err.encode()).hexdigest()] == [2, USAGE_STDERR_PINS[name]], err
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    cli._parser.cache_clear()
+    for argv, rc in [
+        ("nonsense", 2),
+        ("--version", 0),
+        ("construct --kind random-coloring --n 4 --colors 2 --artifact-out x.json", 2),
+    ]:
+        assert _run_golden(tmp_path, argv, (), True)[0] == rc
+    rc, digest, out, err = _run_golden(tmp_path, *CASES_BY_NAME["construct-estimate"])
+    assert [rc, digest] == GOLDEN_PINS["construct-estimate"], (out, err)
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_cached_parser_calls_the_current_module_names(tmp_path, monkeypatch):
+    # a tracer or a test may rebind cli's library names after the parser exists
+    _run_golden(tmp_path, "--version", (), False)
+    seen = []
+    load = cli.load_integer_set
+    monkeypatch.setattr(cli, "load_integer_set", lambda path: seen.append(path) or load(path))
+    rc, digest, out, err = _run_golden(tmp_path, *CASES_BY_NAME["verify-diffset-holds"])
+    assert seen == ["sidon.json"]
+    assert [rc, digest] == GOLDEN_PINS["verify-diffset-holds"], (out, err)
+
+
+def test_import_builds_no_parser(tmp_path):
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import localprops.cli\n"
+        "print(len(built))\n"
+        "for _ in range(3):\n"
+        "    localprops.cli.main(['energy', '--input', 'missing.json'])\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path)
+    # none at import; the first main() builds the top level and the nine
+    # subcommand parsers, and later calls build nothing
+    assert proc.stdout.splitlines() == ["0", "10"], proc.stderr

@@ -132,6 +132,12 @@ def test_local_spec_takes_only_ints():
             LocalSpec(k, ell)
 
 
+def test_colored_complete_graph_takes_only_int_n():
+    for n, colors in ((3.0, (0, 1, 2)), (True, ()), ("3", (0, 1, 2))):
+        with pytest.raises(ValueError, match="integers"):
+            ColoredCompleteGraph(n, colors)
+
+
 def test_pruned_scan_exhaustive_on_k4_colorings():
     # every coloring of K_4 up to relabeling, every spec: the pruned scan
     # and the full scan agree on verdict and witness

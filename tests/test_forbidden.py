@@ -200,6 +200,12 @@ def test_set_system_validation():
     assert inst.min_size == 1
 
 
+def test_set_system_takes_only_int_n_and_d():
+    for n, d in ((3.0, 2), (True, 2), (4, 2.0), (4, True)):
+        with pytest.raises(ValueError, match="integers"):
+            SetSystem(n, (frozenset({0}),), d)
+
+
 def test_counting_lemma_examples():
     inst = SetSystem(4, tuple([frozenset({1, 2})] * 16), 2)
     assert lemma_hypothesis_holds(inst)

@@ -263,6 +263,12 @@ def test_certificate_is_lex_least_in_assignment_order():
     assert first == got
 
 
+def test_min_colors_takes_only_int_n():
+    for n in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="integers"):
+            min_colors(n, LocalSpec(3, 3))
+
+
 def test_solver_errors():
     with pytest.raises(ValueError):
         min_colors(3, LocalSpec(4, 4))
