@@ -21,6 +21,21 @@ search enters vertex max(U)+1.  Nothing is undone on backtrack: a check
 reads only slots written earlier on the current path, and re-entering a
 position rewrites them.
 
+A color's bit either adds one to a mask's popcount or is already in it,
+so a check with prev mask s and bound need rejects every color when
+need - popcount(s) >= 2, only the colors in s when it is 1, and none
+otherwise.  On entering a position the search therefore makes one pass
+over its checks and keeps the colors none rejects as that position's
+allowed mask; the mask stays valid until the position is re-entered,
+because only earlier positions write the slots it reads.  Each visit
+takes the lowest allowed color at or above the next one to try and
+counts one node for it and one for each color it skipped, exactly the
+colors a color-by-color walk would have tried and rejected, so node
+counts, budget cut-offs and certificates are the same as trying each
+color in turn; descending then writes every check's grown mask in one
+more pass.  The allowed mask is the set of colors the position's
+k-subsets do not forbid, which forward checking would build on.
+
 min_colors() walks c upward from the multiplicity lower bound, when one
 applies (if C(k,2)-ell+1 <= floor(k/2)-1, every color is capped at
 C(k,2)-ell+1 repeats, so at least ceil(C(n,2)/cap) colors are needed),
@@ -53,8 +68,10 @@ class SolveBudget:
     time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError("node_limit must be positive")
+        if self.node_limit is not None:
+            _require_ints((self.node_limit,), "node_limit")
+            if self.node_limit < 1:
+                raise ValueError("node_limit must be positive")
         if self.time_limit_s is not None and not 0 < self.time_limit_s < math.inf:
             raise ValueError("time_limit_s must be finite and positive")
 
@@ -99,8 +116,11 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     step (i = max U) nothing reads the mask again, so slot is the shared
     sink 0.  fills[p] holds (base slot, positions of the edges inside U)
     for every U with max(U) + 1 == j, filled when position p = (0, j) is
-    entered.  Returns None once deadline passes (checked once per
-    assignment position).
+    entered.  Within checks[p] the subsets completing at p come first:
+    they are the likeliest to reject colors, so the pass that builds a
+    position's allowed mask reaches an empty mask, and stops, soonest.
+    Returns None once deadline passes (checked once per assignment
+    position).
     """
     order = _assignment_order(n)
     pos_of = {e: p for p, e in enumerate(order)}
@@ -150,10 +170,15 @@ def feasible(
     assignment order) as a certificate, re-encoded in the row-major
     edge index.  The deadline also bounds building the slot table;
     min_colors passes one table, built for this (n, spec), to every level.
-    The search is one loop over per-position state (the color assigned
-    and the highest color a branch may take), so its depth, C(n,2), has
-    no limit.
+    The search is one loop over per-position state (the color assigned,
+    the highest color a branch may take and the allowed-color mask), so
+    its depth, C(n,2), has no limit.  Each color a visit passes over or
+    takes counts as one node, as if tried in turn: a budget of N nodes
+    stops on the same node, with nodes = N + 1, as a color-by-color
+    search would.  The deadline is checked each time the node count
+    crosses a multiple of 1024.
     """
+    _require_ints((n, c), "n and c")
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
     if c < 1:
@@ -170,38 +195,49 @@ def feasible(
     m = len(order)
     cols = [-1] * m
     tops = [0] * (m + 1)  # per position: the highest color its branches may take
+    allowed = [0] * m  # per position: the colors no check there rejects
     state = [0] * slots
     node_limit = budget.node_limit if budget else None
     nodes = 0
     pos, col = 0, 0  # the position and the next color to try there
     while 0 <= pos < m:
-        if col == 0:  # entering pos: fill the base slots it opens
+        top = tops[pos]
+        if col == 0:  # entering pos: fill the base slots it opens, then its mask
             for slot, edges in fills[pos]:
                 mask = 0
                 for q in edges:
                     mask |= 1 << cols[q]
                 state[slot] = mask
-        my_checks = checks[pos]
-        top = tops[pos]
-        for col in range(col, top + 1):
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                return FeasibleOutcome("exhausted", None, nodes)
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                return FeasibleOutcome("exhausted", None, nodes)
-            bit = 1 << col
-            for slot, prev, need in my_checks:
-                grown = state[prev] | bit
-                if grown.bit_count() < need:
-                    break
-                state[slot] = grown
-            else:
-                cols[pos] = col
-                pos += 1
-                # first use: taking the top color lets the next position open one more
-                tops[pos] = top + 1 if col == top < c - 1 else top
-                col = 0
-                break
+            mask = (2 << top) - 1
+            for _, prev, need in checks[pos]:
+                seen = state[prev]
+                short = need - seen.bit_count()
+                if short > 0:
+                    # one missing color: only colors seen already fail
+                    mask = mask & ~seen if short == 1 else 0
+                    if not mask:
+                        break
+            allowed[pos] = mask
+        rest = allowed[pos] >> col << col
+        start = nodes
+        if rest:
+            bit = rest & -rest
+            nxt = bit.bit_length() - 1
+            nodes += nxt - col + 1  # the colors skipped and the one taken
+        else:
+            nodes += top + 1 - col
+        if node_limit is not None and nodes > node_limit:
+            return FeasibleOutcome("exhausted", None, node_limit + 1)
+        if deadline is not None and nodes >> 10 != start >> 10 and time.monotonic() > deadline:
+            return FeasibleOutcome("exhausted", None, nodes)
+        if rest:
+            for slot, prev, _ in checks[pos]:
+                state[slot] = state[prev] | bit
+            cols[pos] = nxt
+            pos += 1
+            # first use: taking the top color lets the next position open one more
+            tops[pos] = top + 1 if nxt == top < c - 1 else top
+            col = 0
         else:
             pos -= 1
             col = cols[pos] + 1

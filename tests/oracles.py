@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's pruned/incremental
 code paths: plain nested loops, full scans, no bitsets, no symmetry
 breaking.  Oracle results are what the fast implementations are judged
-against.
+against.  The one exception is reference_feasible, a copy of the
+solver's DFS in its plain per-color form: it is the judge of the exact
+node counts and certificates the optimized search must reproduce.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations, product
 from localprops import (
     ColoredCompleteGraph,
     DiffSetSearchResult,
+    FeasibleOutcome,
     RandomColoringConfig,
     difference_set,
     random_coloring,
@@ -123,6 +126,83 @@ def brute_min_colors_table(n):
                 if cur is None or classes < cur:
                     best[(k, ell)] = classes
     return best
+
+
+def reference_feasible(n, k, ell, c, node_limit=None):
+    """The solver's DFS, trying each color at a position in turn.
+
+    Same assignment order, first-use symmetry breaking, subset checks
+    and node counting as localprops.solver.feasible, with one walk over
+    a position's checks per color tried; returns a FeasibleOutcome.
+    Each (slot, prev, need) check ORs the color's bit into the mask in
+    slot prev, rejects the color if the result has fewer than need
+    colors, and otherwise stores it in slot (0 is a sink).
+    """
+    if c < ell:
+        return FeasibleOutcome("no", None, 0)
+    order = [(i, j) for j in range(1, n) for i in range(j)]
+    pos_of = {e: p for p, e in enumerate(order)}
+    fills = [[] for _ in order]
+    checks = [[] for _ in order]
+    base, latest = {}, {}
+    slots = 1
+    for p, (i, j) in enumerate(order):
+        if j < k - 1:
+            continue
+        if i == 0:
+            for rest in combinations(range(j - 1), k - 2):
+                u_set = rest + (j - 1,)
+                base[u_set] = slots
+                fills[p].append((slots, [pos_of[e] for e in combinations(u_set, 2)]))
+                slots += 1
+        for step in range(k - 2, -1, -1):
+            for left in combinations(range(i), step):
+                for right in combinations(range(i + 1, j), k - 2 - step):
+                    u_set = left + (i,) + right
+                    prev = base[u_set] if step == 0 else latest.pop(u_set)
+                    if right:
+                        latest[u_set] = slot = slots
+                        slots += 1
+                    else:
+                        slot = 0
+                    checks[p].append((slot, prev, ell - len(right)))
+    m = len(order)
+    cols = [-1] * m
+    tops = [0] * (m + 1)
+    state = [0] * slots
+    nodes = 0
+    pos, col = 0, 0
+    while 0 <= pos < m:
+        if col == 0:
+            for slot, edges in fills[pos]:
+                mask = 0
+                for q in edges:
+                    mask |= 1 << cols[q]
+                state[slot] = mask
+        top = tops[pos]
+        for col in range(col, top + 1):
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                return FeasibleOutcome("exhausted", None, nodes)
+            bit = 1 << col
+            for slot, prev, need in checks[pos]:
+                grown = state[prev] | bit
+                if grown.bit_count() < need:
+                    break
+                state[slot] = grown
+            else:
+                cols[pos] = col
+                pos += 1
+                tops[pos] = top + 1 if col == top < c - 1 else top
+                col = 0
+                break
+        else:
+            pos -= 1
+            col = cols[pos] + 1
+    if pos < m:
+        return FeasibleOutcome("no", None, nodes)
+    colors = [cols[pos_of[e]] for e in combinations(range(n), 2)]
+    return FeasibleOutcome("yes", ColoredCompleteGraph(n, tuple(colors)), nodes)
 
 
 def is_proper_edge_coloring(G):

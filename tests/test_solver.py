@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from localprops import (
     ColoredCompleteGraph,
+    FeasibleOutcome,
     LocalSpec,
     SolveBudget,
     edge_index,
@@ -17,7 +18,7 @@ from localprops import (
     min_colors,
     verify_local_property,
 )
-from oracles import brute_min_colors_table, brute_verdict
+from oracles import brute_min_colors_table, brute_verdict, reference_feasible
 
 oracle_table = lru_cache(brute_min_colors_table)  # n=5 scans ~116k partitions
 
@@ -100,6 +101,68 @@ def test_feasible_and_min_colors_match_partition_oracle_fuzzed(case):
         assert (capped.status, capped.certificate, capped.nodes) == ("exhausted", None, node_limit + 1)
     res = min_colors(n, LocalSpec(k, ell))
     assert (res.status, res.value, res.lower_bound) == ("optimal", want, want)
+
+
+def test_feasible_matches_reference_dfs_on_every_small_level():
+    # status, node count and certificate equal the per-color loop's, at
+    # every level of every n <= 7, k <= 5, including budget-cut ones
+    budget = SolveBudget(node_limit=3000)
+    for n in range(2, 8):
+        for k in range(2, min(n, 5) + 1):
+            for ell in range(1, comb(k, 2) + 1):
+                for c in range(1, comb(n, 2) + 1):
+                    got = feasible(n, LocalSpec(k, ell), c, budget)
+                    assert got == reference_feasible(n, k, ell, c, 3000), (n, k, ell, c)
+
+
+def test_feasible_matches_reference_dfs_on_the_f_table_levels():
+    # every level min_colors visits for the benchmark's f-table specs;
+    # their node total is the benchmark's deterministic work count
+    budget = SolveBudget(node_limit=20_000)
+    levels = nodes = 0
+    for n in range(4, 10):
+        for k in range(3, min(n, 5) + 1):
+            for ell in range(1, comb(k, 2) + 1):
+                for c, count, status in min_colors(n, LocalSpec(k, ell), budget).log:
+                    want = reference_feasible(n, k, ell, c, 20_000)
+                    assert (want.nodes, want.status) == (count, status), (n, k, ell, c)
+                    assert feasible(n, LocalSpec(k, ell), c, budget) == want, (n, k, ell, c)
+                    levels += 1
+                    nodes += count
+    assert (levels, nodes) == (457, 1_491_289)
+
+
+def test_node_limit_boundary_is_exact():
+    # a budget of exactly N nodes covers an N-node search; one less
+    # stops at node N, for a refuted level and a satisfiable one
+    spec = LocalSpec(4, 5)
+    for c, status in ((5, "no"), (7, "yes")):
+        full = feasible(7, spec, c)
+        assert full.status == status
+        assert feasible(7, spec, c, SolveBudget(node_limit=full.nodes)) == full
+        capped = feasible(7, spec, c, SolveBudget(node_limit=full.nodes - 1))
+        assert capped == FeasibleOutcome("exhausted", None, full.nodes)
+
+
+def test_deadline_stops_the_search_itself():
+    # the table builds well inside the deadline; the search (25M+ nodes
+    # unbounded) must notice it passing
+    t0 = time.monotonic()
+    out = feasible(10, LocalSpec(3, 3), 8, deadline=t0 + 0.1)
+    assert time.monotonic() - t0 < 1.0
+    assert out.status == "exhausted" and out.certificate is None and out.nodes > 0
+
+
+def test_feasible_takes_only_int_n_and_c():
+    for n, c in ((4.0, 3), (5, 3.0), (5, True)):
+        with pytest.raises(ValueError, match="integers"):
+            feasible(n, LocalSpec(3, 3), c)
+
+
+def test_solve_budget_takes_only_an_int_node_limit():
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="integers"):
+            SolveBudget(node_limit=bad)
 
 
 def test_min_colors_has_no_depth_limit():
