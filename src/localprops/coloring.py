@@ -20,6 +20,21 @@ bit_count().  A level checks its first candidate bit by bit and builds
 its rows only once it moves past it, so a scan that fails on its first
 k-subset costs O(k^2) lookups.
 
+The scan also prunes by a repeat budget, the exact local form of the
+color energy below.  The deficiency of a vertex set S, C(|S|,2) minus
+the number of colors it spans, counts for each color its edges in S
+beyond the first; a k-subset fails exactly when its deficiency exceeds
+t = C(k,2) - ell, and each unit needs an edge whose color occurs more
+than once in G.  So when G's own deficiency
+C(n,2) - num_colors is at most t, every k-subset holds.  When it is
+larger but at most n, at most 2n edges have a repeated color, and the
+scan notes for each vertex its highest neighbour across such an edge:
+the leaves w > v of a (k-1)-set X can add at most one unit per vertex of
+X with such a neighbour above v, and when X's deficiency plus that count
+is at most t the scan skips those leaves.  With more repeats than n the
+note would rarely prune, and the scan runs without it.  Both tests come
+after the first candidate path, so the O(k^2) early failure stays.
+
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
 connects color multiplicities to that property.  Everything here is
@@ -31,6 +46,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 __all__ = [
     "ColoredCompleteGraph",
@@ -82,16 +98,9 @@ class ColoredCompleteGraph:
     num_colors: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_ints((self.n,), "n")
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
         colors = tuple(self.edge_colors)
+        _check_shape(self.n, len(colors))
         object.__setattr__(self, "edge_colors", colors)
-        if len(colors) != edge_count(self.n):
-            raise ValueError(
-                f"expected {edge_count(self.n)} edge colors for n={self.n}, "
-                f"got {len(colors)}"
-            )
         used = set(colors)
         if used != set(range(len(used))):
             raise ValueError(
@@ -104,11 +113,19 @@ class ColoredCompleteGraph:
         """Build a graph from arbitrary hashable color ids, densified.
 
         Ids are remapped to 0..num_colors-1 in ascending order of the
-        original ids, so equal inputs always normalize identically.
+        original ids, so equal inputs always normalize identically.  The
+        shape is checked as in direct construction; the remapped ids are
+        dense by construction, so they are not checked again.
         """
         colors = list(colors)
-        remap = {c: i for i, c in enumerate(sorted(set(colors)))}
-        return cls(n, tuple(remap[c] for c in colors))
+        _check_shape(n, len(colors))
+        ids = sorted(set(colors))
+        remap = dict(zip(ids, range(len(ids))))
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "edge_colors", tuple(map(remap.__getitem__, colors)))
+        object.__setattr__(G, "num_colors", len(ids))
+        return G
 
     def color(self, u: int, v: int) -> int:
         if u > v:
@@ -124,6 +141,15 @@ def monochromatic(n: int) -> ColoredCompleteGraph:
 def rainbow(n: int) -> ColoredCompleteGraph:
     """K_n with all edge colors distinct."""
     return ColoredCompleteGraph(n, tuple(range(edge_count(n))))
+
+
+def _check_shape(n, count: int) -> None:
+    """The vertex count and edge-color count checks every graph passes."""
+    _require_ints((n,), "n")
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if count != edge_count(n):
+        raise ValueError(f"expected {edge_count(n)} edge colors for n={n}, got {count}")
 
 
 def _require_ints(values, what: str) -> None:
@@ -189,24 +215,32 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     failure found is the lexicographically least one.
 
     The scan runs on the int-bitmask mask rows the module docstring
-    describes, with no limit on k; the subsets visited, their order, the
-    pruning rule and the counts are those of a plain set scan.  Edge
-    (u, w), u < w, is edge_colors[at(u) + w] with at(u) = u*n -
-    u*(u+1)//2 - u - 1.  A level (prefix, colors, start, base, base_lo,
-    pending) extends prefix by each candidate v >= start; the mask row of
-    a vertex w >= start is base[w - base_lo] ORed with the color bits of
-    the edges from the vertices in pending (the tail of prefix that base
-    does not cover yet) to w.  The stack holds the levels waiting below a
-    candidate, each resumed past that candidate.
+    describes, with no limit on k.  Edge (u, w), u < w, is
+    edge_colors[at(u) + w] with at(u) = u*n - u*(u+1)//2 - u - 1.  A
+    level (colors, start, base, base_lo, pend) extends the prefix
+    path[:depth - 1] by each candidate v >= start; the mask row of a
+    vertex w >= start is base[w - base_lo] ORed with the color bits of
+    the edges from pending = path[pend:depth - 1] (the tail of the prefix
+    that base does not cover yet) to w.  The stack holds the levels
+    waiting below a candidate, each resumed past that candidate, and
+    path is the one list of chosen vertices they share, so the scan
+    state beyond the mask rows is O(k).
+
+    The repeat budget of the module docstring prunes too: once the scan
+    is past its first candidate path, it returns holds if G's deficiency
+    C(n,2) - num_colors is at most t = C(k,2) - ell, and, if that
+    deficiency is at most n, it skips the leaves of every (k-1)-set that
+    cannot reach deficiency t + 1 through its repeated-color edges.  Both
+    rules drop only subsets that hold, so verdicts and witnesses are
+    those of the plain scan.
     """
     n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
         raise ValueError(f"k={k} exceeds vertex count n={n}: infeasible query")
     bit = [1 << c for c in range(G.num_colors)].__getitem__
     or_ = operator.or_
-    stack = []
-    # the current level: the empty prefix (all-zero rows), entered at vertex 0
-    prefix, colors, start, base, base_lo, pending = (), 0, 0, [0] * n, 0, ()
+    path, stack, last = [0] * k, [], None
+    colors, start, base, base_lo, pend, pending = 0, 0, [0] * n, 0, 0, []
     depth, entering = 1, True
     while True:
         if entering:
@@ -217,24 +251,37 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
             grown = colors | row
             count = grown.bit_count()
             if count < ell:
+                path[depth - 1] = start
                 if depth == k:
-                    return PropertyVerdict(False, prefix + (start,), count)
-                stack.append((prefix, colors, start, base, base_lo, pending))
-                prefix, colors, pending = prefix + (start,), grown, pending + (start,)
+                    return PropertyVerdict(False, tuple(path), count)
+                stack.append((colors, start, base, base_lo, pend))
+                pending.append(start)
+                colors = grown
                 start += 1
                 depth += 1
                 continue
             entering = False
         elif stack:
-            prefix, colors, start, base, base_lo, pending = stack.pop()
+            colors, start, base, base_lo, pend = stack.pop()
             depth -= 1
+            pending = path[pend : depth - 1]
         else:
             return PropertyVerdict(True)
         lo = start + 1
         stop = n - k + depth
         if lo == stop:
             continue
+        if last is None:
+            # past the first candidate path: the whole-graph test, then each
+            # vertex's last repeated-color neighbour if repeats are few enough
+            slack = k * (k - 1) // 2 - ell
+            repeats = len(edge_colors) - G.num_colors
+            if repeats <= slack:
+                return PropertyVerdict(True)
+            last = _last_repeat_neighbours(G) if repeats <= n else ()
         if pending:
+            if depth == k and last and _leaves_hold(last, slack, path[: k - 1], colors, lo):
+                continue
             # moving past the first candidate: the mask rows of lo..n-1
             rows = base[lo - base_lo :]
             for u in pending:
@@ -244,7 +291,8 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
                 for v, row in zip(range(lo, n), rows):
                     row |= colors
                     if row.bit_count() < ell:
-                        return PropertyVerdict(False, prefix + (v,), row.bit_count())
+                        path[k - 1] = v
+                        return PropertyVerdict(False, tuple(path), row.bit_count())
                 continue
             base, base_lo = list(rows), lo
         # else base already holds the rows: the level resumes past a candidate
@@ -252,8 +300,9 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
             for v in range(lo, stop):
                 grown = colors | base[v - base_lo]
                 if grown.bit_count() < ell:  # else colors only accumulate: no completion fails
-                    stack.append((prefix, colors, v, base, base_lo, ()))
-                    prefix, colors, start, pending = prefix + (v,), grown, v + 1, (v,)
+                    path[depth - 1] = v
+                    stack.append((colors, v, base, base_lo, depth - 1))
+                    colors, start, pend, pending = grown, v + 1, depth - 1, [v]
                     depth += 1
                     entering = True
                     break
@@ -262,12 +311,47 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         for v in range(lo, stop):
             grown = colors | base[v - base_lo]
             if grown.bit_count() < ell:
+                if last:
+                    path[depth - 1] = v
+                    if _leaves_hold(last, slack, path[:depth], grown, v + 1):
+                        continue
                 at = v * n - v * (v + 1) // 2 - v - 1
                 leaves = map(or_, base[v + 1 - base_lo :], map(bit, edge_colors[at + v + 1 : at + n]))
                 for w, row in zip(range(v + 1, n), leaves):
                     row |= grown
                     if row.bit_count() < ell:
-                        return PropertyVerdict(False, prefix + (v, w), row.bit_count())
+                        return PropertyVerdict(False, (*path[: k - 2], v, w), row.bit_count())
+
+
+def _last_repeat_neighbours(G: ColoredCompleteGraph) -> list[int]:
+    """last[u]: the largest w > u with edge (u, w) of a repeated color, else -1.
+
+    A color is repeated when color_histogram gives it multiplicity >= 2.
+    The scan extends sets only by larger vertices, so lower neighbours
+    never matter.
+    """
+    n, edge_colors = G.n, G.edge_colors
+    mult = color_histogram(G)
+    repeated = list(map((1).__lt__, map(mult.__getitem__, range(G.num_colors))))
+    last = [-1] * n
+    for u in range(n - 1):
+        at = u * n - u * (u + 1) // 2 - u - 1
+        for w in compress(range(u + 1, n), map(repeated.__getitem__, edge_colors[at + u + 1 : at + n])):
+            last[u] = w
+    return last
+
+
+def _leaves_hold(last, slack: int, verts, colors: int, lo: int) -> bool:
+    """Does every k-subset verts + (w,), w >= lo, hold?
+
+    colors is the color mask of verts, so their deficiency is
+    C(len(verts), 2) - colors.bit_count().  Adding w raises it by at most
+    the number of edges (u, w) with a repeated color, which is at most the
+    number of u in verts with a repeated-color edge to a vertex >= lo.
+    """
+    size = len(verts)
+    spare = slack - size * (size - 1) // 2 + colors.bit_count()
+    return sum(last[u] >= lo for u in verts) <= spare
 
 
 def color_histogram(G: ColoredCompleteGraph) -> Counter:

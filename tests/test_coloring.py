@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
@@ -121,9 +124,101 @@ def test_pruned_scan_matches_unpruned_oracle_fuzzed(case):
 
 
 def test_verify_local_property_has_no_depth_limit():
-    # the one k-subset, 1100 vertices deep
-    v = verify_local_property(monochromatic(1100), LocalSpec(1100, 2))
+    # the one k-subset, 1100 vertices deep; the levels share one path list,
+    # with no prefix or pending tuple per level, so memory stays O(k)
+    g = monochromatic(1100)
+    tracemalloc.start()
+    try:
+        v = verify_local_property(g, LocalSpec(1100, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (v.holds, v.witness, v.witness_colors) == (False, tuple(range(1100)), 1)
+    assert peak < 1_000_000, peak
+
+
+def _plant_repeats(n, plants):
+    """A rainbow K_n in which, for each (a, b), edge a takes edge b's color."""
+    colors = list(range(comb(n, 2)))
+    for a, b in plants:
+        colors[a] = colors[b]
+    return ColoredCompleteGraph.from_sparse(n, colors)
+
+
+@st.composite
+def _near_rainbow_cases(draw):
+    n = draw(st.integers(2, 11))
+    edge = st.integers(0, comb(n, 2) - 1)
+    plants = draw(st.lists(st.tuples(edge, edge), max_size=n))
+    k = draw(st.integers(2, n))
+    ell = draw(st.integers(1, comb(k, 2)))
+    return _plant_repeats(n, plants), k, ell
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_near_rainbow_cases())
+def test_repeat_budget_matches_oracle_near_rainbow_fuzzed(case):
+    g, k, ell = case
+    verdict = verify_local_property(g, LocalSpec(k, ell))
+    assert (verdict.holds, verdict.witness, verdict.witness_colors) == brute_verdict(g, k, ell)
+
+
+def test_repeat_budget_matches_oracle_in_every_regime():
+    # deficiency = C(n,2) - num_colors: within t = C(k,2) - ell (holds at
+    # once), within n (leaf prune), or above n (plain scan)
+    rng = random.Random(90210)
+    n = 8
+    regimes = set()
+    for planted in range(0, 2 * n, 2):
+        pairs = [(rng.randrange(comb(n, 2)), rng.randrange(comb(n, 2))) for _ in range(planted)]
+        g = _plant_repeats(n, pairs)
+        deficiency = comb(n, 2) - g.num_colors
+        for k in range(2, n + 1):
+            for ell in range(1, comb(k, 2) + 1):
+                t = comb(k, 2) - ell
+                regimes.add(0 if deficiency <= t else 1 if deficiency <= n else 2)
+                verdict = verify_local_property(g, LocalSpec(k, ell))
+                got = (verdict.holds, verdict.witness, verdict.witness_colors)
+                assert got == brute_verdict(g, k, ell), (pairs, k, ell)
+    assert regimes == {0, 1, 2}
+
+
+def test_large_holding_scans_finish_in_a_child_process():
+    # both hold with no repeated color: C(200,6) and C(150,4) subsets to
+    # scan, unless the repeat budget settles them
+    code = (
+        "from localprops import LocalSpec, rainbow, verify_local_property, verify_diff_local_property\n"
+        "print(verify_local_property(rainbow(200), LocalSpec(6, 15)).holds)\n"
+        "sidon = [2 * 151 * i + (i * i) % 151 for i in range(150)]\n"
+        "print(verify_diff_local_property(sidon, LocalSpec(4, 6)).holds)\n"
+    )
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("holding scans ran past 30 s")
+    assert proc.stdout.split() == ["True", "True"], proc.stderr
+
+
+def test_from_sparse_skips_the_density_check(monkeypatch):
+    def dense_check(self):
+        raise AssertionError("from_sparse ran the direct constructor's checks")
+
+    g = ColoredCompleteGraph.from_sparse(4, (9, 5, 5, 7, 9, 2))
+    monkeypatch.setattr(ColoredCompleteGraph, "__post_init__", dense_check)
+    h = ColoredCompleteGraph.from_sparse(4, (9, 5, 5, 7, 9, 2))
+    monkeypatch.undo()
+    assert g == h == ColoredCompleteGraph(4, (3, 1, 1, 2, 3, 0))
+    assert (h.n, h.edge_colors, h.num_colors) == (4, (3, 1, 1, 2, 3, 0), 4)
+
+
+def test_from_sparse_keeps_the_shape_checks():
+    bad = ((3.0, (0, 1, 2)), (True, ()), ("3", (0, 1, 2)), (0, ()), (-2, ()), (3, (0, 1)), (3, (0, 1, 2, 2)))
+    for n, colors in bad:
+        with pytest.raises(ValueError) as direct:
+            ColoredCompleteGraph(n, colors)
+        with pytest.raises(ValueError) as sparse:
+            ColoredCompleteGraph.from_sparse(n, colors)
+        assert str(sparse.value) == str(direct.value)
 
 
 def test_local_spec_takes_only_ints():

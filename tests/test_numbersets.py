@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localprops import (
@@ -370,6 +370,41 @@ def test_distance_verifier_matches_direct_scan():
         for k, ell in _every_spec(len(pts)):
             got = _verdict(verify_distance_local_property(pts, LocalSpec(k, ell)))
             assert got == brute_distance_verdict(pts, k, ell), (pts, k, ell)
+
+
+@st.composite
+def _near_sidon_sets(draw):
+    """An Erdos-Turan Sidon set {22i + (i^2 mod 11)} with up to n planted
+    repeated differences: vals[i] moves to vals[x] + vals[b] - vals[a]."""
+    n = draw(st.integers(2, 9))
+    vals = [22 * i + (i * i) % 11 for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, x, b, a in draw(st.lists(st.tuples(index, index, index, index), max_size=n)):
+        vals[i] = vals[x] + vals[b] - vals[a]
+    vals = sorted(set(vals))
+    assume(len(vals) >= 2)
+    k = draw(st.integers(2, len(vals)))
+    ell = draw(st.integers(1, comb(k, 2)))
+    return vals, k, ell
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_near_sidon_sets())
+def test_diff_verifier_matches_direct_scan_near_sidon_fuzzed(case):
+    vals, k, ell = case
+    got = _verdict(verify_diff_local_property(vals, LocalSpec(k, ell)))
+    assert got == brute_diff_verdict(vals, k, ell)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_near_sidon_sets(), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_distance_verifier_matches_direct_scan_near_sidon_fuzzed(case, slope, rng):
+    # points on the line y = slope * x: distance repeats are difference repeats
+    vals, k, ell = case
+    pts = [(x, slope * x) for x in vals]
+    rng.shuffle(pts)  # witnesses follow input order
+    got = _verdict(verify_distance_local_property(pts, LocalSpec(k, ell)))
+    assert got == brute_distance_verdict(pts, k, ell)
 
 
 def test_distance_verifier_regular_configurations():
