@@ -20,20 +20,13 @@ bit_count().  A level checks its first candidate bit by bit and builds
 its rows only once it moves past it, so a scan that fails on its first
 k-subset costs O(k^2) lookups.
 
-The scan also prunes by a repeat budget, the exact local form of the
+Before the scan comes a repeat budget, the exact local form of the
 color energy below.  The deficiency of a vertex set S, C(|S|,2) minus
 the number of colors it spans, counts for each color its edges in S
 beyond the first; a k-subset fails exactly when its deficiency exceeds
-t = C(k,2) - ell, and each unit needs an edge whose color occurs more
-than once in G.  So when G's own deficiency
-C(n,2) - num_colors is at most t, every k-subset holds.  When it is
-larger but at most n, at most 2n edges have a repeated color, and the
-scan notes for each vertex its highest neighbour across such an edge:
-the leaves w > v of a (k-1)-set X can add at most one unit per vertex of
-X with such a neighbour above v, and when X's deficiency plus that count
-is at most t the scan skips those leaves.  With more repeats than n the
-note would rarely prune, and the scan runs without it.  Both tests come
-after the first candidate path, so the O(k^2) early failure stays.
+t = C(k,2) - ell.  No subset's deficiency exceeds G's own,
+C(n,2) - num_colors, so when that is at most t every k-subset holds and
+the verifier answers in O(1) without scanning.
 
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
@@ -46,7 +39,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 
 __all__ = [
     "ColoredCompleteGraph",
@@ -226,20 +218,18 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     path is the one list of chosen vertices they share, so the scan
     state beyond the mask rows is O(k).
 
-    The repeat budget of the module docstring prunes too: once the scan
-    is past its first candidate path, it returns holds if G's deficiency
-    C(n,2) - num_colors is at most t = C(k,2) - ell, and, if that
-    deficiency is at most n, it skips the leaves of every (k-1)-set that
-    cannot reach deficiency t + 1 through its repeated-color edges.  Both
-    rules drop only subsets that hold, so verdicts and witnesses are
-    those of the plain scan.
+    First, if G's deficiency C(n,2) - num_colors is at most
+    t = C(k,2) - ell (the repeat budget of the module docstring), no
+    k-subset can fail, and the verdict is holds with no scan.
     """
     n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
         raise ValueError(f"k={k} exceeds vertex count n={n}: infeasible query")
+    if len(edge_colors) - G.num_colors <= k * (k - 1) // 2 - ell:
+        return PropertyVerdict(True)
     bit = [1 << c for c in range(G.num_colors)].__getitem__
     or_ = operator.or_
-    path, stack, last = [0] * k, [], None
+    path, stack = [0] * k, []
     colors, start, base, base_lo, pend, pending = 0, 0, [0] * n, 0, 0, []
     depth, entering = 1, True
     while True:
@@ -271,17 +261,7 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         stop = n - k + depth
         if lo == stop:
             continue
-        if last is None:
-            # past the first candidate path: the whole-graph test, then each
-            # vertex's last repeated-color neighbour if repeats are few enough
-            slack = k * (k - 1) // 2 - ell
-            repeats = len(edge_colors) - G.num_colors
-            if repeats <= slack:
-                return PropertyVerdict(True)
-            last = _last_repeat_neighbours(G) if repeats <= n else ()
         if pending:
-            if depth == k and last and _leaves_hold(last, slack, path[: k - 1], colors, lo):
-                continue
             # moving past the first candidate: the mask rows of lo..n-1
             rows = base[lo - base_lo :]
             for u in pending:
@@ -311,47 +291,12 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         for v in range(lo, stop):
             grown = colors | base[v - base_lo]
             if grown.bit_count() < ell:
-                if last:
-                    path[depth - 1] = v
-                    if _leaves_hold(last, slack, path[:depth], grown, v + 1):
-                        continue
                 at = v * n - v * (v + 1) // 2 - v - 1
                 leaves = map(or_, base[v + 1 - base_lo :], map(bit, edge_colors[at + v + 1 : at + n]))
                 for w, row in zip(range(v + 1, n), leaves):
                     row |= grown
                     if row.bit_count() < ell:
                         return PropertyVerdict(False, (*path[: k - 2], v, w), row.bit_count())
-
-
-def _last_repeat_neighbours(G: ColoredCompleteGraph) -> list[int]:
-    """last[u]: the largest w > u with edge (u, w) of a repeated color, else -1.
-
-    A color is repeated when color_histogram gives it multiplicity >= 2.
-    The scan extends sets only by larger vertices, so lower neighbours
-    never matter.
-    """
-    n, edge_colors = G.n, G.edge_colors
-    mult = color_histogram(G)
-    repeated = list(map((1).__lt__, map(mult.__getitem__, range(G.num_colors))))
-    last = [-1] * n
-    for u in range(n - 1):
-        at = u * n - u * (u + 1) // 2 - u - 1
-        for w in compress(range(u + 1, n), map(repeated.__getitem__, edge_colors[at + u + 1 : at + n])):
-            last[u] = w
-    return last
-
-
-def _leaves_hold(last, slack: int, verts, colors: int, lo: int) -> bool:
-    """Does every k-subset verts + (w,), w >= lo, hold?
-
-    colors is the color mask of verts, so their deficiency is
-    C(len(verts), 2) - colors.bit_count().  Adding w raises it by at most
-    the number of edges (u, w) with a repeated color, which is at most the
-    number of u in verts with a repeated-color edge to a vertex >= lo.
-    """
-    size = len(verts)
-    spare = slack - size * (size - 1) // 2 + colors.bit_count()
-    return sum(last[u] >= lo for u in verts) <= spare
 
 
 def color_histogram(G: ColoredCompleteGraph) -> Counter:
