@@ -44,11 +44,9 @@ from .energy import (
 )
 from .forbidden import (
     BudgetExceededError,
-    ColorSupport,
     DetectorParams,
     PopularHit,
     SetSystem,
-    color_supports,
     counting_lemma_find,
     lemma_hypothesis_holds,
     max_mono_degree,

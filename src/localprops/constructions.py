@@ -8,16 +8,21 @@ probability.  The progression-free sets are the classical digit-sphere
 (Behrend) construction: integers whose base-(2d-1) digits in {0..d-1}
 form a vector on a fixed Euclidean sphere.  Digit addition then has no
 carries, so a 3-term arithmetic progression would force a sphere to
-contain a midpoint, which strict convexity forbids.
+contain a midpoint, which strict convexity forbids.  The sphere joins its
+low and high digit halves on squared norm; verify_no_3ap tries only the
+middle terms y with 2y <= x + max.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
+from operator import sub
 
 from .coloring import ColoredCompleteGraph, LocalSpec, edge_count, verify_local_property
+from .numbersets import integer_set, point_set
 
 __all__ = [
     "RandomColoringConfig",
@@ -125,23 +130,23 @@ def _sphere_counts(dim: int) -> list[int]:
     return counts
 
 
-def _sphere_elements(dim: int, base: int, radius: int):
+def _sphere_elements(dim: int, base: int, radius: int) -> list[int]:
     """All integers whose digit vector lies on the given squared-norm sphere
-    (in no particular order)."""
-    powers = [base**t for t in range(dim)]
-    max_sq = (dim - 1) * (dim - 1)
-    # (digits placed, squared norm still to reach, value so far); only
-    # prefixes the remaining digits can still complete are pushed
-    stack = [(0, radius, 0)]
-    while stack:
-        pos, rem, val = stack.pop()
-        if pos == dim:
-            yield val
-            continue
-        room = (dim - pos - 1) * max_sq
-        for x in range(dim):
-            if 0 <= rem - x * x <= room:
-                stack.append((pos + 1, rem - x * x, val + x * powers[pos]))
+    (in no particular order), by a half-digit join: the (squared norm,
+    value) pairs of the low floor(dim/2) and the high ceil(dim/2) digits
+    are grown one position at a time, and each high pair of norm r joins
+    every low value of norm radius - r."""
+    halves = []
+    for positions in (range(dim // 2), range(dim // 2, dim)):
+        pairs = [(0, 0)]
+        for pos in positions:
+            steps = [(x * x, x * base**pos) for x in range(dim)]
+            pairs = [(r + s, v + t) for r, v in pairs for s, t in steps]
+        halves.append(pairs)
+    low_by_norm: dict[int, list[int]] = {}
+    for r, v in halves[0]:
+        low_by_norm.setdefault(r, []).append(v)
+    return [v + u for r, v in halves[1] for u in low_by_norm.get(radius - r, ())]
 
 
 def behrend_set(size_target: int) -> tuple[int, ...]:
@@ -165,13 +170,25 @@ def behrend_set(size_target: int) -> tuple[int, ...]:
 
 
 def verify_no_3ap(values) -> tuple[int, int, int] | None:
-    """Least triple x < y < z with x + z = 2y, or None if progression-free."""
-    elems = sorted(set(values))
+    """Least triple x < y < z with x + z = 2y, or None if progression-free.
+
+    Values must be ints, as for numbersets.integer_set.  For each x, only
+    a y with 2y <= x + max can have z = 2y - x in the set: bisection on
+    the doubled elements bounds that range exactly, one C-level isdisjoint
+    probe tests all its z, and only a range that hits is rescanned for
+    its least y."""
+    elems = integer_set(values)
+    if len(elems) < 3:
+        return None
     present = set(elems)
+    doubled = [2 * y for y in elems]
+    top = elems[-1]
     for i, x in enumerate(elems):
-        for y in elems[i + 1 :]:
-            if 2 * y - x in present:
-                return x, y, 2 * y - x
+        hi = bisect_right(doubled, x + top, i + 1)
+        if not present.isdisjoint(map(sub, doubled[i + 1 : hi], repeat(x))):
+            for j in range(i + 1, hi):
+                if doubled[j] - x in present:
+                    return x, elems[j], doubled[j] - x
     return None
 
 
@@ -190,12 +207,10 @@ def verify_isosceles_free(points) -> tuple | None:
     vertex carrying both equal sides, so it suffices to scan, for every
     point, the squared distances to all others for a duplicate.  The
     returned witness is the least triple over first-duplicate hits, in
-    sorted point order; the scan is deterministic.
+    sorted point order; the scan is deterministic.  Coordinates must be
+    ints and points distinct, as for numbersets.point_set.
     """
-    pts = [tuple(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be pairwise distinct")
-    pts.sort()
+    pts = sorted(point_set(points))
     best = None
     for qi, q in enumerate(pts):
         first_at: dict[int, int] = {}

@@ -23,7 +23,7 @@ from .coloring import ColoredCompleteGraph, color_histogram
 from .forbidden import (
     BudgetExceededError,
     DetectorParams,
-    color_supports,
+    _support_masks,
     mono_degree_violations,
     popular_intersection_search,
 )
@@ -121,7 +121,7 @@ def bound_report(
     a, b = p.a, p.b
     n = G.n
     hist = color_histogram(G)
-    supports = {s.color: len(s.vertices) for s in color_supports(G)}
+    support_sizes = [m.bit_count() for m in _support_masks(G)]
     rich_num = 2 * n**b * b ** (b + 1) * a**b
     rows = []
     for j, (bc, kj) in enumerate(zip(profile.bin_count, profile.cum_count)):
@@ -131,7 +131,7 @@ def bound_report(
         rich_ok = kj * pow_jb < rich_num
         remark = (1 << ((j - 1) * b) if j >= 1 else 0) < n ** (b - 1) < (1 << ((j + 1) * b))
         popular = [c for c, m in hist.items() if m >= pow_j]
-        min_support = min((supports[c] for c in popular), default=None)
+        min_support = min((support_sizes[c] for c in popular), default=None)
         located = None
         if locate and j > profile.crossover and not rich_ok:
             mono = tuple(mono_degree_violations(G, p))

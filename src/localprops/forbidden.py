@@ -27,12 +27,10 @@ from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, color_hist
 __all__ = [
     "BudgetExceededError",
     "DetectorParams",
-    "ColorSupport",
     "PopularHit",
     "SetSystem",
     "max_mono_degree",
     "mono_degree_violations",
-    "color_supports",
     "popular_intersection_search",
     "counting_lemma_find",
     "lemma_hypothesis_holds",
@@ -102,15 +100,8 @@ def mono_degree_violations(G: ColoredCompleteGraph, p: DetectorParams) -> list[t
     return sorted(vc for vc, k in _mono_degrees(G).items() if k >= threshold)
 
 
-@dataclass(frozen=True)
-class ColorSupport:
-    """A color id together with the set of endpoints of its edges."""
-
-    color: int
-    vertices: frozenset[int]
-
-
 def _support_masks(G: ColoredCompleteGraph) -> list[int]:
+    """Endpoint set of every color as a vertex bitmask, in color-id order."""
     masks = [0] * G.num_colors
     for (i, j), c in zip(edge_pairs(G.n), G.edge_colors):
         masks[c] |= (1 << i) | (1 << j)
@@ -124,14 +115,6 @@ def _mask_bits(mask: int):
             yield v
         mask >>= 1
         v += 1
-
-
-def color_supports(G: ColoredCompleteGraph) -> list[ColorSupport]:
-    """Endpoint set of every color, in color-id order."""
-    return [
-        ColorSupport(c, frozenset(_mask_bits(m)))
-        for c, m in enumerate(_support_masks(G))
-    ]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ node counts and certificates the optimized search must reproduce.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -360,6 +361,23 @@ def brute_popular(G, j, a, b):
     return None
 
 
+@dataclass(frozen=True)
+class ColorSupport:
+    """A color id together with the set of endpoints of its edges."""
+
+    color: int
+    vertices: frozenset[int]
+
+
+def color_supports(G):
+    """Endpoint set of every color, in color-id order, edge by edge."""
+    supports = [set() for _ in range(G.num_colors)]
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            supports[G.color(i, j)].update((i, j))
+    return [ColorSupport(c, frozenset(s)) for c, s in enumerate(supports)]
+
+
 def brute_lemma_find(inst):
     """Unpruned scan with Fraction threshold; least qualifying tuple."""
     m = min(len(s) for s in inst.sets)
@@ -377,6 +395,27 @@ def brute_no_3ap(values):
         if x + z == 2 * y:
             return x, y, z
     return None
+
+
+def brute_sphere_elements(dim, base, radius):
+    """Digit-by-digit DFS over {0..dim-1}^dim: every integer whose base-`base`
+    digit vector has squared norm `radius`, in no particular order."""
+    powers = [base**t for t in range(dim)]
+    max_sq = (dim - 1) * (dim - 1)
+    # (digits placed, squared norm still to reach, value so far); only
+    # prefixes the remaining digits can still complete are pushed
+    stack = [(0, radius, 0)]
+    out = []
+    while stack:
+        pos, rem, val = stack.pop()
+        if pos == dim:
+            out.append(val)
+            continue
+        room = (dim - pos - 1) * max_sq
+        for x in range(dim):
+            if 0 <= rem - x * x <= room:
+                stack.append((pos + 1, rem - x * x, val + x * powers[pos]))
+    return out
 
 
 def brute_isosceles(points):

@@ -5,6 +5,8 @@ from math import isqrt, prod
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localprops import (
     LocalSpec,
@@ -18,8 +20,8 @@ from localprops import (
     verify_isosceles_free,
     verify_no_3ap,
 )
-from localprops.constructions import _sphere_elements
-from oracles import brute_isosceles, brute_no_3ap
+from localprops.constructions import _sphere_counts, _sphere_elements
+from oracles import brute_isosceles, brute_no_3ap, brute_sphere_elements
 
 
 def test_random_coloring_single_color_is_monochromatic():
@@ -182,6 +184,17 @@ def test_sphere_elements_match_digit_vector_enumeration():
             assert sorted(got) == sorted(by_radius.get(radius, [])), (dim, radius)
 
 
+def test_behrend_matches_oracle_sphere_in_every_dimension():
+    # each target needs one more digit than the one before
+    best = 0
+    for dim, target in enumerate((1, 2, 6, 24, 130, 1000, 11655), start=1):
+        counts = _sphere_counts(dim)
+        assert best < target <= max(counts)
+        best = max(counts)
+        oracle = brute_sphere_elements(dim, 2 * dim - 1, counts.index(best))
+        assert behrend_set(target) == tuple(sorted(v + 1 for v in oracle)), dim
+
+
 def test_verify_no_3ap_examples():
     assert verify_no_3ap([1, 2, 3]) == (1, 2, 3)
     assert verify_no_3ap([1, 2, 4, 5]) is None
@@ -195,6 +208,40 @@ def test_verify_no_3ap_matches_brute():
     for _ in range(300):
         vals = rng.sample(range(1, 70), rng.randint(0, 14))
         assert verify_no_3ap(vals) == brute_no_3ap(vals)
+
+
+@st.composite
+def _no_3ap_cases(draw):
+    """Unsorted int lists with duplicates and negatives, 0 to 20 long; some
+    get a planted x < y < z whose z is the maximum, so 2y = x + max."""
+    values = draw(st.lists(st.integers(-40, 80), max_size=20))
+    if draw(st.booleans()):
+        x, d = draw(st.integers(-40, 60)), draw(st.integers(1, 30))
+        values = [v for v in values if v <= x + 2 * d] + [x, x + d, x + 2 * d]
+    return draw(st.permutations(values))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_no_3ap_cases())
+def test_verify_no_3ap_matches_brute_fuzzed(values):
+    assert verify_no_3ap(values) == brute_no_3ap(values)
+
+
+def test_verify_no_3ap_small_sets_and_the_bound():
+    for values in ([], [5], [5, 5], [3, -3], [2, 1, 2]):
+        assert verify_no_3ap(values) is None
+    assert verify_no_3ap([9, -3, 3, 3]) == (-3, 3, 9)  # z is the maximum
+    assert verify_no_3ap((v for v in [1, 4, 7])) == (1, 4, 7)  # any iterable
+
+
+def test_verifiers_take_only_ints():
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            verify_no_3ap([1, bad, 3])
+        with pytest.raises(ValueError):
+            verify_isosceles_free([(0, 0), (1, 0), (bad, 1)])
+        with pytest.raises(ValueError):
+            verify_isosceles_free([(0, 0), (1, 0), (1, bad)])
 
 
 def test_collinear_point_set_examples():

@@ -18,7 +18,7 @@ from localprops import (
     popular_intersection_search,
     rainbow,
 )
-from oracles import random_graph_corpus
+from oracles import color_supports, random_graph_corpus
 
 
 P62 = DetectorParams(6, 2)  # a=2, b=2
@@ -153,6 +153,11 @@ def test_min_support_column():
     assert rows[1].min_support == 3  # only color 0 reaches multiplicity 2
     assert rows[0].support_bound == (2, 2)
     assert rows[1].support_bound == (4, 2)
+    for g in random_graph_corpus(41, 30, n_hi=10):
+        sizes = [len(s.vertices) for s in color_supports(g)]
+        for r in bound_report(g, P62):
+            popular = [c for c, m in color_histogram(g).items() if m >= 2**r.j]
+            assert r.min_support == min((sizes[c] for c in popular), default=None)
 
 
 def test_solver_certificates_avoid_forbidden_configurations():

@@ -12,7 +12,6 @@ from localprops import (
     DetectorParams,
     LocalSpec,
     SetSystem,
-    color_supports,
     counting_lemma_find,
     edge_count,
     edge_index,
@@ -26,7 +25,13 @@ from localprops import (
     relabel_colors,
     verify_local_property,
 )
-from oracles import brute_lemma_find, brute_popular, random_graph_corpus, round_robin_proper_coloring
+from oracles import (
+    brute_lemma_find,
+    brute_popular,
+    color_supports,
+    random_graph_corpus,
+    round_robin_proper_coloring,
+)
 
 
 def test_detector_params():
