@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from operator import sub
 
-from .coloring import ColoredCompleteGraph, LocalSpec, edge_count, verify_local_property
+from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count, verify_local_property
 from .numbersets import integer_set, point_set
 
 __all__ = [
@@ -58,6 +58,7 @@ class RandomColoringConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        _require_ints((self.n, self.colors, self.seed), "n, colors and seed")
         if self.n < 1:
             raise ValueError("need at least one vertex")
         if self.colors < 1:
@@ -77,6 +78,7 @@ def random_coloring(cfg: RandomColoringConfig) -> ColoredCompleteGraph:
 
 def color_budget(n: int, spec: LocalSpec) -> int:
     """ceil(n^((k-2)/(C(k,2)-ell+1))), the random construction's color count."""
+    _require_ints((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     p = spec.k - 2
@@ -104,6 +106,7 @@ def estimate_property_probability(
     Trial t uses the derived seed mix(seed, t), so the estimate is
     reproducible and independent of any execution order.
     """
+    _require_ints((trials, seed), "trials and seed")
     if trials < 1:
         raise ValueError("need at least one trial")
     if spec.k > n:
@@ -193,8 +196,8 @@ def verify_no_3ap(values) -> tuple[int, int, int] | None:
 
 
 def collinear_point_set(values) -> tuple[tuple[int, int], ...]:
-    """Place each integer a on the x-axis as (a, 0), in ascending order."""
-    elems = sorted(set(values))
+    """Place each int a (as numbersets.integer_set takes them) on the x-axis as (a, 0), ascending."""
+    elems = integer_set(values)
     if not elems:
         raise ValueError("need a nonempty integer set")
     return tuple((a, 0) for a in elems)

@@ -18,6 +18,7 @@ bin_count[j] * 2^(2j+2) to sum(m_c^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .coloring import ColoredCompleteGraph, color_histogram
 from .forbidden import (
@@ -43,7 +44,12 @@ def dyadic_bins(G: ColoredCompleteGraph) -> tuple[tuple[int, ...], tuple[int, ..
     """(bin_count, contributions): per dyadic bin j, the number of colors
     with multiplicity in [2^j, 2^(j+1)) and the sum of their m_c^2.  Both
     end at the top nonempty bin and are empty for an edgeless graph."""
-    hist = color_histogram(G)
+    return _dyadic_bins(color_histogram(G))
+
+
+def _dyadic_bins(hist: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """dyadic_bins of a color histogram, in one pass over its colors: up to
+    about a hundred colors, faster than sorting the multiplicities."""
     if not hist:
         return (), ()
     top = max(hist.values()).bit_length()
@@ -77,11 +83,11 @@ class DyadicProfile:
 
 
 def dyadic_profile(G: ColoredCompleteGraph, p: DetectorParams) -> DyadicProfile:
-    bins, _ = dyadic_bins(G)
-    cums = list(bins)
-    for j in range(len(cums) - 2, -1, -1):
-        cums[j] += cums[j + 1]
-    return DyadicProfile(bins, tuple(cums), crossover_index(G.n, p))
+    return _profile(dyadic_bins(G)[0], G.n, p)
+
+
+def _profile(bins: tuple[int, ...], n: int, p: DetectorParams) -> DyadicProfile:
+    return DyadicProfile(bins, tuple(accumulate(reversed(bins)))[::-1], crossover_index(n, p))
 
 
 @dataclass(frozen=True)
@@ -117,11 +123,17 @@ def bound_report(
     the mono-degree violations and (within the tuple budget, for
     2^j >= a) the least popular-color intersection attached.
     """
-    profile = dyadic_profile(G, p)
     a, b = p.a, p.b
     n = G.n
     hist = color_histogram(G)
-    support_sizes = [m.bit_count() for m in _support_masks(G)]
+    profile = _profile(_dyadic_bins(hist)[0], n, p)
+    # row j's min_support is the least |V_c| over the bins from j up
+    masks = _support_masks(G)
+    least = [n] * len(profile.bin_count)  # no support exceeds n
+    for c, m in hist.items():
+        j = m.bit_length() - 1
+        least[j] = min(least[j], masks[c].bit_count())
+    min_support = tuple(accumulate(reversed(least), min))[::-1]
     rich_num = 2 * n**b * b ** (b + 1) * a**b
     rows = []
     for j, (bc, kj) in enumerate(zip(profile.bin_count, profile.cum_count)):
@@ -130,8 +142,6 @@ def bound_report(
         poor_ok = kj * pow_j < n * n
         rich_ok = kj * pow_jb < rich_num
         remark = (1 << ((j - 1) * b) if j >= 1 else 0) < n ** (b - 1) < (1 << ((j + 1) * b))
-        popular = [c for c, m in hist.items() if m >= pow_j]
-        min_support = min((support_sizes[c] for c in popular), default=None)
         located = None
         if locate and j > profile.crossover and not rich_ok:
             mono = tuple(mono_degree_violations(G, p))
@@ -153,7 +163,7 @@ def bound_report(
                 rich_regime=j > profile.crossover,
                 rich_ok=rich_ok,
                 remark_zone=remark,
-                min_support=min_support,
+                min_support=min_support[j],
                 support_bound=(2 * pow_j, b * a - b),
                 located=located,
             )

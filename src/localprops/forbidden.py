@@ -18,11 +18,14 @@ cross-multiplied integers, never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, compress, repeat
 from math import comb
+from operator import add, eq, ge, mul, or_
 
-from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, color_histogram, edge_pairs
+from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, color_histogram
 
 __all__ = [
     "BudgetExceededError",
@@ -49,6 +52,7 @@ class DetectorParams:
     m: int
 
     def __post_init__(self) -> None:
+        _require_ints((self.k, self.m), "k and m")
         if not self.k > self.m >= 2:
             raise ValueError("need k > m >= 2")
 
@@ -71,13 +75,22 @@ class DetectorParams:
         return LocalSpec(kk, comb(kk, 2) - self.b * self.a + self.b + 1)
 
 
-def _mono_degrees(G: ColoredCompleteGraph) -> dict[tuple[int, int], int]:
-    """Same-colored edge count at every (vertex, color) pair that has one."""
-    counts: dict[tuple[int, int], int] = {}
-    for (i, j), c in zip(edge_pairs(G.n), G.edge_colors):
-        counts[(i, c)] = counts.get((i, c), 0) + 1
-        counts[(j, c)] = counts.get((j, c), 0) + 1
-    return counts
+@lru_cache(maxsize=32)
+def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per edge index of K_n: its lower endpoint, its upper endpoint, and
+    the two as a vertex bitmask; row-major, as edge_colors is stored."""
+    lo = tuple(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1))))
+    hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
+    bits = [1 << v for v in range(n)]
+    return lo, hi, tuple(map(or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
+
+
+def _mono_degrees(G: ColoredCompleteGraph) -> Counter:
+    """Same-colored edge count at every (vertex, color) pair that has one,
+    keyed vertex * num_colors + color, so key order is (vertex, color) order."""
+    lo, hi, _ = _endpoints(G.n)
+    stride, colors = repeat(G.num_colors), G.edge_colors
+    return Counter(chain(map(add, map(mul, lo, stride), colors), map(add, map(mul, hi, stride), colors)))
 
 
 def max_mono_degree(G: ColoredCompleteGraph):
@@ -90,31 +103,23 @@ def max_mono_degree(G: ColoredCompleteGraph):
     if not counts:
         return 0, []
     top = max(counts.values())
-    at_max = sorted((v, c) for (v, c), k in counts.items() if k == top)
-    return top, [(v, c, top) for v, c in at_max]
+    at_max = sorted(compress(counts, map(eq, counts.values(), repeat(top))))
+    return top, [(*divmod(key, G.num_colors), top) for key in at_max]
 
 
 def mono_degree_violations(G: ColoredCompleteGraph, p: DetectorParams) -> list[tuple[int, int]]:
     """All (vertex, color) with at least b*a-b+1 same-colored incident edges."""
-    threshold = p.mono_degree_cap + 1
-    return sorted(vc for vc, k in _mono_degrees(G).items() if k >= threshold)
+    counts = _mono_degrees(G)
+    hits = compress(counts, map(ge, counts.values(), repeat(p.mono_degree_cap + 1)))
+    return list(map(divmod, sorted(hits), repeat(G.num_colors)))
 
 
 def _support_masks(G: ColoredCompleteGraph) -> list[int]:
     """Endpoint set of every color as a vertex bitmask, in color-id order."""
     masks = [0] * G.num_colors
-    for (i, j), c in zip(edge_pairs(G.n), G.edge_colors):
-        masks[c] |= (1 << i) | (1 << j)
+    for c, pair in zip(G.edge_colors, _endpoints(G.n)[2]):
+        masks[c] |= pair
     return masks
-
-
-def _mask_bits(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
 
 
 @dataclass(frozen=True)
@@ -142,9 +147,8 @@ def popular_intersection_search(
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    threshold = 1 << j
     hist = color_histogram(G)
-    popular = sorted(c for c, mult in hist.items() if mult >= threshold)
+    popular = sorted(compress(hist, map(ge, hist.values(), repeat(1 << j))))
     a, b = p.a, p.b
     if len(popular) < b:
         return None
@@ -162,7 +166,7 @@ def popular_intersection_search(
                 break
         else:
             if inter.bit_count() >= a:
-                return PopularHit(combo, frozenset(_mask_bits(inter)))
+                return PopularHit(combo, frozenset(v for v in range(G.n) if inter >> v & 1))
     return None
 
 

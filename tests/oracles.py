@@ -361,6 +361,18 @@ def brute_popular(G, j, a, b):
     return None
 
 
+def brute_mono_degrees(G):
+    """Same-colored edge count at every (vertex, color) pair that has one,
+    as a dict keyed (vertex, color), edge by edge."""
+    counts = {}
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            c = G.color(i, j)
+            counts[(i, c)] = counts.get((i, c), 0) + 1
+            counts[(j, c)] = counts.get((j, c), 0) + 1
+    return counts
+
+
 @dataclass(frozen=True)
 class ColorSupport:
     """A color id together with the set of endpoints of its edges."""

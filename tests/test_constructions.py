@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import product
@@ -60,6 +61,61 @@ def test_random_coloring_edge_independence_chi_square():
     expm = trials / 3
     chi2m = sum((marginal[a] - expm) ** 2 / expm for a in range(3))
     assert chi2m < 13.82  # df=2, p=0.001
+
+
+def test_random_inputs_take_only_ints():
+    for bad in ((5, True, 1), (5.0, 2, 1), (5, 2.0, 1), (5, 2, 1.5), (True, 2, 1), (5, 2, "1")):
+        with pytest.raises(ValueError):
+            RandomColoringConfig(*bad)
+    for n in (6.0, True, "6"):
+        with pytest.raises(ValueError):
+            color_budget(n, LocalSpec(4, 5))
+    for trials, seed in ((2.0, 1), (True, 1), (2, 1.0), (2, None)):
+        with pytest.raises(ValueError):
+            estimate_property_probability(6, 3, LocalSpec(3, 2), trials, seed)
+
+
+# sha256 of the repr of random_coloring(RandomColoringConfig(n, colors,
+# seed)).edge_colors, concatenated over n in STREAM_NS and seed in
+# STREAM_SEEDS, per color count (1, powers of two, and others)
+STREAM_NS = (1, 2, 3, 6, 10, 14)
+STREAM_SEEDS = (0, 1, 12345, 2**40 + 3)
+STREAM_PINS = {
+    1: "a282abea2ad91cc428aa7a6af67cfb350f93725947c8bac0d00b51a815dc6a21",
+    2: "02e7200bde9eb813601563734800c844e38fc5d95fa9ca876544adedb78547f5",
+    3: "cc03e3fcca1280caee2238c7cc8d171e9384565aa3695f0f35e382c27067b106",
+    4: "93074335643a005dfe649c9c682d3962b2cb17412b071fc82c93f1794e8a8613",
+    7: "19154225a07f4c44e13740e19aee28b125be4f1b3344098ff5791f33bdb19512",
+    8: "4f90bc39cb6e0cb2fe488ebf4fffab15087026a741aec7c5d85c4f674bafd268",
+    16: "2f9b0cf0c23dc65e0651e1adcfd798cca43cc37efec22503ee0fe996177938f7",
+    45: "76b34fe87936c9edd7fbe34b5639cd481b2a4793b639fb2fe91a620f9f64969a",
+    64: "9c12e20f24fafcc2d6fbea7a11257659e6360d0be903b97c67985557d28c6bb9",
+    1000: "92916c39c4b58241d2b8fb429e79d191b792105fd2d8623e4b65c6d1dc8b625e",
+}
+# (n, colors, k, ell, seed): hits out of 40 trials
+ESTIMATE_PINS = {
+    (5, 1, 3, 1, 2): 40,
+    (4, 2, 3, 2, 3): 12,
+    (6, 3, 3, 2, 4): 2,
+    (5, 4, 3, 2, 8): 19,
+    (8, 13, 4, 4, 11): 8,
+    (6, 16, 3, 3, 9): 1,
+    (7, 32, 4, 5, 11): 15,
+    (9, 64, 4, 6, 2**33 + 1): 0,
+}
+
+
+def test_random_stream_is_pinned():
+    """The colorings and estimates the seeds give are fixed byte for byte,
+    so a faster way to draw them must reproduce the same stream."""
+    for colors, pin in STREAM_PINS.items():
+        h = hashlib.sha256()
+        for n in STREAM_NS:
+            for seed in STREAM_SEEDS:
+                h.update(repr(random_coloring(RandomColoringConfig(n, colors, seed)).edge_colors).encode())
+        assert h.hexdigest() == pin, colors
+    for (n, colors, k, ell, seed), hits in ESTIMATE_PINS.items():
+        assert estimate_property_probability(n, colors, LocalSpec(k, ell), 40, seed) == hits / 40
 
 
 def test_color_budget_examples():
@@ -242,6 +298,13 @@ def test_verifiers_take_only_ints():
             verify_isosceles_free([(0, 0), (1, 0), (bad, 1)])
         with pytest.raises(ValueError):
             verify_isosceles_free([(0, 0), (1, 0), (1, bad)])
+
+
+def test_collinear_point_set_takes_only_ints():
+    for bad in ([1, True, 2.0], [1.0], [1, "2"], [None]):
+        with pytest.raises(ValueError):
+            collinear_point_set(bad)
+    assert collinear_point_set([3, 1, 1]) == ((1, 0), (3, 0))
 
 
 def test_collinear_point_set_examples():

@@ -51,6 +51,13 @@ def test_detector_params():
         DetectorParams(5, 1)
 
 
+def test_detector_params_take_only_ints():
+    # floats would reach bound_report's exact thresholds as a = 2.0
+    for k, m in ((6.0, 2), (7, 2.0), (True, 2), (6, "2")):
+        with pytest.raises(ValueError):
+            DetectorParams(k, m)
+
+
 def _with_planted_star(n, v, spokes, seed):
     """Rainbow K_n, then `spokes` edges at v recolored to one fresh color."""
     g = rainbow(n)
