@@ -53,7 +53,7 @@ from .constructions import (
     estimate_property_probability,
     random_coloring,
 )
-from .energy import bound_report, dyadic_bins, dyadic_profile
+from .energy import bound_report, crossover_index, dyadic_bins
 from .forbidden import DetectorParams, counting_lemma_find, lemma_hypothesis_holds
 from .io import (
     dump_json,
@@ -282,7 +282,6 @@ def _cmd_energy(args) -> int:
 def _cmd_profile(args) -> int:
     p = DetectorParams(args.k, args.m)
     G = load_coloring(args.input)
-    profile = dyadic_profile(G, p)
     rows = bound_report(G, p, locate=args.locate, tuple_budget=args.tuple_budget)
     row_dicts = []
     for r in rows:
@@ -324,9 +323,9 @@ def _cmd_profile(args) -> int:
         "profile",
         {"n": G.n, "k": args.k, "m": args.m},
         status="ok",
-        crossover=profile.crossover,
-        bin_count=list(profile.bin_count),
-        cum_count=list(profile.cum_count),
+        crossover=crossover_index(G.n, p),
+        bin_count=[r.bin_count for r in rows],
+        cum_count=[r.cum_count for r in rows],
         rows=row_dicts,
     )
     columns = [

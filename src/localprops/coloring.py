@@ -26,7 +26,12 @@ the number of colors it spans, counts for each color its edges in S
 beyond the first; a k-subset fails exactly when its deficiency exceeds
 t = C(k,2) - ell.  No subset's deficiency exceeds G's own,
 C(n,2) - num_colors, so when that is at most t every k-subset holds and
-the verifier answers in O(1) without scanning.
+the verifier answers in O(1) without scanning.  Conversely, when G's
+deficiency exceeds t and 4(t+1) <= k, some k-subset fails: t+1 surplus
+edges and one same-colored partner each span at most 2(t+1) edges on at
+most 4(t+1) vertices, and any k-subset containing those has deficiency
+above t.  _raw_holds decides a coloring given as raw ids by these two
+tests and scans only when neither applies.
 
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
@@ -297,6 +302,20 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
                     row |= grown
                     if row.bit_count() < ell:
                         return PropertyVerdict(False, (*path[: k - 2], v, w), row.bit_count())
+
+
+def _raw_holds(n: int, raw: list, spec: LocalSpec) -> bool:
+    """verify_local_property(ColoredCompleteGraph.from_sparse(n, raw), spec).holds,
+    for 2 <= k <= n, from the repeat count delta = len(raw) - len(set(raw))
+    when that decides it: holds if delta <= t, fails if delta > t and
+    4(t+1) <= k (the converse in the module docstring)."""
+    k = spec.k
+    t = k * (k - 1) // 2 - spec.ell
+    if len(raw) - len(set(raw)) <= t:
+        return True
+    if 4 * (t + 1) <= k:
+        return False
+    return verify_local_property(ColoredCompleteGraph.from_sparse(n, raw), spec).holds
 
 
 def color_histogram(G: ColoredCompleteGraph) -> Counter:

@@ -4,7 +4,12 @@ progression-free integer sets, and isosceles-free collinear point sets.
 The random coloring assigns each edge an independent uniform color; the
 color budget ceil(n^((k-2)/(C(k,2)-ell+1))) is the color count at which
 such a coloring starts satisfying a (k, ell) local property with decent
-probability.  The progression-free sets are the classical digit-sphere
+probability.  Its colors are drawn in batches: one getrandbits call
+yields many 32-bit words, and each word gives one color by the rejection
+rule of randrange, so the stream is the same as one randrange per edge.
+The estimator reseeds one generator per trial and judges each trial from
+the raw color ids, building a graph only when the repeat count alone
+cannot decide.  The progression-free sets are the classical digit-sphere
 (Behrend) construction: integers whose base-(2d-1) digits in {0..d-1}
 form a vector on a fixed Euclidean sphere.  Digit addition then has no
 carries, so a 3-term arithmetic progression would force a sphere to
@@ -16,12 +21,13 @@ middle terms y with 2y <= x + max.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import sub
 
-from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count, verify_local_property
+from .coloring import ColoredCompleteGraph, LocalSpec, _raw_holds, _require_ints, edge_count
 from .numbersets import integer_set, point_set
 
 __all__ = [
@@ -71,9 +77,32 @@ def random_coloring(cfg: RandomColoringConfig) -> ColoredCompleteGraph:
     The same seed reproduces the same coloring bit for bit.  Unused ids
     are densified away, which never changes any statistic or verdict.
     """
-    rng = random.Random(cfg.seed)
-    raw = [rng.randrange(cfg.colors) for _ in range(edge_count(cfg.n))]
+    raw = _draw(random.Random(cfg.seed), edge_count(cfg.n), cfg.colors)
     return ColoredCompleteGraph.from_sparse(cfg.n, raw)
+
+
+def _draw(rng: random.Random, m: int, colors: int) -> list[int]:
+    """[rng.randrange(colors) for _ in range(m)], from batched words.
+
+    For colors < 2^32, randrange(colors) keeps the top k = colors.bit_length()
+    bits of one 32-bit word and rejects values >= colors.  getrandbits(32w)
+    returns w such words, the first in the lowest bits, so one shift and
+    one mask leave each word's top k bits in its own 32-bit lane, and the
+    lanes read in order replay that stream.  Each batch is sized by the
+    acceptance rate and may overdraw: rng must not be used afterwards.
+    """
+    k = colors.bit_length()
+    if k > 32:  # here each getrandbits(k) spans several words
+        return [rng.randrange(colors) for _ in range(m)]
+    lane = ((1 << k) - 1).to_bytes(4, "little")
+    below = colors.__gt__
+    out: list[int] = []
+    while len(out) < m:
+        w = ((m - len(out)) << k) // colors + 4
+        tops = rng.getrandbits(32 * w) >> (32 - k) & int.from_bytes(lane * w, "little")
+        out += filter(below, memoryview(tops.to_bytes(4 * w, sys.byteorder)).cast("I"))
+    del out[m:]
+    return out
 
 
 def color_budget(n: int, spec: LocalSpec) -> int:
@@ -103,18 +132,25 @@ def estimate_property_probability(
 ) -> float:
     """Fraction of random colorings of K_n satisfying the local property.
 
-    Trial t uses the derived seed mix(seed, t), so the estimate is
-    reproducible and independent of any execution order.
+    Trial t colors K_n as random_coloring does with the derived seed
+    mix(seed, t), so the estimate is reproducible and independent of any
+    execution order.  The inputs are validated once; each trial then
+    reseeds one generator, draws its colors in batches and takes its
+    verdict from the raw ids (coloring._raw_holds), with no graph built
+    when the repeat count decides it.
     """
     _require_ints((trials, seed), "trials and seed")
     if trials < 1:
         raise ValueError("need at least one trial")
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds n={n}")
+    RandomColoringConfig(n, colors, seed)  # the checks every trial's config would make
+    m = edge_count(n)
+    rng = random.Random()
     hits = 0
     for t in range(trials):
-        g = random_coloring(RandomColoringConfig(n, colors, _mix_seed(seed, t)))
-        if verify_local_property(g, spec).holds:
+        rng.seed(_mix_seed(seed, t))
+        if _raw_holds(n, _draw(rng, m, colors), spec):
             hits += 1
     return hits / trials
 

@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from localprops import (
     ColoredCompleteGraph,
     DiffSetSearchResult,
     FeasibleOutcome,
-    RandomColoringConfig,
     difference_set,
-    random_coloring,
 )
 
 
@@ -444,12 +443,42 @@ def brute_isosceles(points):
     return False
 
 
+def per_edge_draw(n, colors, seed):
+    """The raw color ids of a seeded random coloring of K_n: one randrange
+    per edge, in edge-index order."""
+    rng = random.Random(seed)
+    return [rng.randrange(colors) for _ in range(n * (n - 1) // 2)]
+
+
+def raw_graph(n, raw):
+    """A duck-typed graph over raw ids, enough for brute_verdict."""
+    by_edge = dict(zip(combinations(range(n), 2), raw))
+    return SimpleNamespace(n=n, color=lambda a, b: by_edge[min(a, b), max(a, b)])
+
+
+def reference_estimate(n, colors, k, ell, trials, seed):
+    """Hits of estimate_property_probability, from a splitmix64 copy, per-edge
+    draws and the unpruned brute_verdict."""
+    mask = (1 << 64) - 1
+    hits = 0
+    for t in range(trials):
+        x = (seed + (t + 1) * 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        x ^= x >> 31
+        hits += brute_verdict(raw_graph(n, per_edge_draw(n, colors, x)), k, ell)[0]
+    return hits
+
+
 def random_graph_corpus(seed, count, n_lo=2, n_hi=12):
-    """Seeded random colorings with varied sizes and color budgets."""
+    """Seeded random colorings with varied sizes and color budgets, densified
+    by ascending raw id as from_sparse does."""
     rng = random.Random(seed)
     out = []
     for t in range(count):
         n = rng.randint(n_lo, n_hi)
         c = rng.randint(1, max(1, n * (n - 1) // 2))
-        out.append(random_coloring(RandomColoringConfig(n, c, rng.getrandbits(48))))
+        raw = per_edge_draw(n, c, rng.getrandbits(48))
+        rank = {v: i for i, v in enumerate(sorted(set(raw)))}
+        out.append(ColoredCompleteGraph(n, tuple(rank[v] for v in raw)))
     return out

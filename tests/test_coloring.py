@@ -27,9 +27,12 @@ from localprops import (
     subset_color_count,
     verify_local_property,
 )
+from localprops.coloring import _raw_holds
 from oracles import (
     brute_energy_quadruples,
     brute_verdict,
+    per_edge_draw,
+    raw_graph,
     random_graph_corpus,
     round_robin_proper_coloring,
 )
@@ -181,6 +184,37 @@ def test_repeat_budget_matches_oracle_in_every_regime():
                 got = (verdict.holds, verdict.witness, verdict.witness_colors)
                 assert got == brute_verdict(g, k, ell), (pairs, k, ell)
     assert regimes == {True, False}
+
+
+def test_repeat_count_is_the_verdict_when_4_t_plus_1_is_at_most_k():
+    # t + 1 surplus edges and a same-colored partner each lie on at most
+    # 4(t + 1) <= k vertices, so deficiency > t always has a failing k-subset
+    verdicts = set()
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        colors = rng.choice((rng.randint(1, comb(n, 2)), comb(n, 2) ** 2))
+        g = ColoredCompleteGraph.from_sparse(n, per_edge_draw(n, colors, seed))
+        deficiency = comb(n, 2) - g.num_colors
+        for k in range(4, n + 1):
+            for t in range(k // 4):
+                holds = verify_local_property(g, LocalSpec(k, comb(k, 2) - t)).holds
+                assert holds == (deficiency <= t), (seed, k, t)
+                verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def test_raw_verdict_matches_oracle_on_every_spec():
+    # both sides of 4(t+1) <= k, and raw ids that are neither dense nor small
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        colors = rng.choice((1, 2, rng.randint(1, comb(n, 2) + 2), 2**40))
+        raw = per_edge_draw(n, colors, seed)
+        for k in range(2, n + 1):
+            for ell in range(1, comb(k, 2) + 1):
+                want = brute_verdict(raw_graph(n, raw), k, ell)[0]
+                assert _raw_holds(n, raw, LocalSpec(k, ell)) == want, (seed, k, ell)
 
 
 def test_large_holding_scans_finish_in_a_child_process():

@@ -2,7 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from itertools import product
-from math import isqrt, prod
+from math import comb, isqrt, prod
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localprops import (
+    ColoredCompleteGraph,
     LocalSpec,
     RandomColoringConfig,
     behrend_set,
@@ -21,8 +22,14 @@ from localprops import (
     verify_isosceles_free,
     verify_no_3ap,
 )
-from localprops.constructions import _sphere_counts, _sphere_elements
-from oracles import brute_isosceles, brute_no_3ap, brute_sphere_elements
+from localprops.constructions import _draw, _sphere_counts, _sphere_elements
+from oracles import (
+    brute_isosceles,
+    brute_no_3ap,
+    brute_sphere_elements,
+    random_graph_corpus,
+    reference_estimate,
+)
 
 
 def test_random_coloring_single_color_is_monochromatic():
@@ -116,6 +123,117 @@ def test_random_stream_is_pinned():
         assert h.hexdigest() == pin, colors
     for (n, colors, k, ell, seed), hits in ESTIMATE_PINS.items():
         assert estimate_property_probability(n, colors, LocalSpec(k, ell), 40, seed) == hits / 40
+
+
+# the same pins beyond 2^32 colors, where each randrange spans several words
+WIDE_STREAM_PINS = {
+    2**32: "f202c2000636bbbd1a19c0fc52d2c1eda47d3b910f69c7cdea993fdb2d743a49",
+    2**40: "78cb7f92143034d558b206d04f83b58766c64e1f59e5bbe5599700a36be2157e",
+    3**41: "4102e02050282e244129434c64f9c55a86ee92d644b55d84036b20c8548a84dd",
+}
+# hits out of 40 trials where 4(t+1) <= k, so the repeat count alone decides
+REPEAT_COUNT_ESTIMATE_PINS = {
+    (5, 12, 4, 6, 6): 1,
+    (6, 40, 4, 6, -3): 3,
+    (6, 216, 5, 10, 7): 23,
+    (8, 512, 5, 10, 2**63): 21,
+    (10, 2000, 5, 10, 2**64 + 5): 21,
+    (8, 300, 8, 27, 4): 22,
+    (12, 5000, 8, 27, 9): 35,
+}
+# sha256 of repr((n, edge_colors)) over random_graph_corpus(*args)
+CORPUS_PINS = {
+    (7, 40): "6554da185fbd70ca44cca35aa2a2008081a7f1ab2f1c4d574fbeb6506ac53179",
+    (77, 300): "0b7e2ec447ed97eaca4914e9392662f2f7356c8bdfdd78c28eb605293503333e",
+    (2026, 250, 2, 8): "57c616d5285eb1020f85d636f89f0c4d56254ee2e2af99d963a83cd7afc83967",
+}
+
+
+def test_wide_streams_and_repeat_count_estimates_are_pinned():
+    for colors, pin in WIDE_STREAM_PINS.items():
+        h = hashlib.sha256()
+        for n in STREAM_NS:
+            for seed in STREAM_SEEDS:
+                h.update(repr(random_coloring(RandomColoringConfig(n, colors, seed)).edge_colors).encode())
+        assert h.hexdigest() == pin, colors
+    for (n, colors, k, ell, seed), hits in REPEAT_COUNT_ESTIMATE_PINS.items():
+        assert 4 * (comb(k, 2) - ell + 1) <= k
+        assert estimate_property_probability(n, colors, LocalSpec(k, ell), 40, seed) == hits / 40
+
+
+def test_oracle_corpus_is_pinned():
+    """The oracles draw their own corpus; it is the one the library drew."""
+    for args, pin in CORPUS_PINS.items():
+        h = hashlib.sha256()
+        for g in random_graph_corpus(*args):
+            h.update(repr((g.n, g.edge_colors)).encode())
+        assert h.hexdigest() == pin, args
+
+
+def test_batched_draws_replay_per_edge_randrange():
+    for seed in (0, 1, 12345, 2**63):
+        for m in (0, 1, 15, 45, 780):
+            for colors in (1, 2, 3, 4, 8, 9, 1000, 2**31, 2**32 - 1, 2**32, 2**40):
+                want = random.Random(seed)
+                got = _draw(random.Random(seed), m, colors)
+                assert got == [want.randrange(colors) for _ in range(m)], (seed, m, colors)
+
+
+def test_estimate_matches_reference_estimate():
+    # (3,3), (4,5): 4(t+1) > k, so failing trials are scanned; (4,6),
+    # (5,10), (8,27): the repeat count decides every trial
+    for k, ell in ((3, 3), (4, 5), (4, 6), (5, 10), (8, 27)):
+        for n in (k, k + 1, k + 2):
+            m = comb(n, 2)
+            for colors in sorted({1, 2, m // 2 + 1, m, m + 3, 4 * m, 2**33}):
+                seed = 1000 * n + colors % 997
+                want = reference_estimate(n, colors, k, ell, 12, seed)
+                got = estimate_property_probability(n, colors, LocalSpec(k, ell), 12, seed)
+                assert got == want / 12, (n, colors, k, ell)
+
+
+def test_estimate_validates_inputs_once_in_order():
+    spec = LocalSpec(4, 5)
+    cases = (
+        ({"colors": 0}, "need at least one color"),
+        ({"colors": -2}, "need at least one color"),
+        ({"colors": True}, "n, colors and seed must be integers, got True"),
+        ({"n": 6.0}, "n, colors and seed must be integers, got 6.0"),
+        ({"trials": 0}, "need at least one trial"),
+        ({"trials": 2.0}, "trials and seed must be integers, got 2.0"),
+        ({"seed": 1.5}, "trials and seed must be integers, got 1.5"),
+        ({"n": 3}, "k=4 exceeds n=3"),
+        # the first failing check names the error
+        ({"trials": 2.0, "seed": 1.5}, "trials and seed must be integers, got 2.0"),
+        ({"colors": True, "seed": 1.5}, "trials and seed must be integers, got 1.5"),
+        ({"n": 3, "trials": 2.0}, "trials and seed must be integers, got 2.0"),
+        ({"trials": 0, "colors": 0}, "need at least one trial"),
+        ({"n": 3, "trials": 0}, "need at least one trial"),
+        ({"n": 3, "colors": 0}, "k=4 exceeds n=3"),
+        ({"n": 3, "colors": True}, "k=4 exceeds n=3"),
+        ({"n": 6.0, "colors": 0}, "n, colors and seed must be integers, got 6.0"),
+    )
+    for bad, message in cases:
+        args = {"n": 6, "colors": 4, "spec": spec, "trials": 3, "seed": 1, **bad}
+        with pytest.raises(ValueError) as err:
+            estimate_property_probability(**args)
+        assert str(err.value) == message, bad
+
+
+def test_estimate_builds_no_graph_when_the_repeat_count_decides(monkeypatch):
+    built = []
+    from_sparse = ColoredCompleteGraph.from_sparse
+
+    def counted(n, colors):
+        built.append(n)
+        return from_sparse(n, colors)
+
+    monkeypatch.setattr(ColoredCompleteGraph, "from_sparse", counted)
+    estimate_property_probability(10, 1000, LocalSpec(5, 10), 50, 3)
+    assert built == []
+    # (4,5) has t = 1 and 4(t+1) > k: its trials past the budget are scanned
+    estimate_property_probability(6, 8, LocalSpec(4, 5), 5, 3)
+    assert built == [6] * 5
 
 
 def test_color_budget_examples():
