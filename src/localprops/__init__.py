@@ -15,12 +15,9 @@ from .coloring import (
     color_histogram,
     edge_count,
     edge_index,
-    edge_pairs,
     monochromatic,
     permute_vertices,
     rainbow,
-    relabel_colors,
-    subset_color_count,
     verify_local_property,
 )
 from .constructions import (
@@ -62,8 +59,6 @@ from .numbersets import (
     integer_set,
     min_difference_set,
     point_set,
-    repeated_difference_bound_check,
-    sum_set,
     verify_diff_local_property,
     verify_distance_local_property,
 )

@@ -192,7 +192,7 @@ def _cmd_solve_f(args) -> int:
         "node_limit": args.node_limit,
         "time_limit": args.time_limit,
     }
-    if args.ell > comb(args.k, 2):
+    if args.k >= 2 and args.ell > comb(args.k, 2):  # k < 2 is refused by LocalSpec
         _emit(args, _payload("solve-f", params, status="unsatisfiable"))
         return 1
     spec = LocalSpec(args.k, args.ell)
@@ -228,7 +228,7 @@ def _cmd_solve_g(args) -> int:
         "range_cap": args.range_cap,
         "max_sets": args.max_sets,
     }
-    if args.ell > comb(args.k, 2):
+    if args.k >= 2 and args.ell > comb(args.k, 2):  # k < 2 is refused by LocalSpec
         _emit(args, _payload("solve-g", params, status="unsatisfiable"))
         return 1
     spec = LocalSpec(args.k, args.ell)

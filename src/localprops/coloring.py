@@ -35,8 +35,11 @@ tests and scans only when neither applies.
 
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
-connects color multiplicities to that property.  Everything here is
-exact integer arithmetic.
+connects color multiplicities to that property.  On the difference graph
+of an integer set A (numbersets) it is the additive energy in disguise:
+a + b = c + d exactly when a - c = d - b, so counting by that difference
+gives E(A) = |A|^2 + 2 * sum_d m_d^2, with m_d the multiplicity of color
+d.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 __all__ = [
     "ColoredCompleteGraph",
@@ -51,15 +55,12 @@ __all__ = [
     "PropertyVerdict",
     "edge_count",
     "edge_index",
-    "edge_pairs",
     "monochromatic",
     "rainbow",
-    "subset_color_count",
     "verify_local_property",
     "color_histogram",
     "color_energy",
     "cauchy_schwarz_floor",
-    "relabel_colors",
     "permute_vertices",
 ]
 
@@ -73,13 +74,6 @@ def edge_index(n: int, i: int, j: int) -> int:
     if not 0 <= i < j < n:
         raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
     return i * n - i * (i + 1) // 2 + j - i - 1
-
-
-def edge_pairs(n: int):
-    """All edges (i, j), i < j, in index order."""
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            yield i, j
 
 
 @dataclass(frozen=True)
@@ -186,20 +180,6 @@ class PropertyVerdict:
     holds: bool
     witness: tuple | None = None
     witness_colors: int | None = None
-
-
-def subset_color_count(G: ColoredCompleteGraph, subset) -> int:
-    """Number of distinct colors among the edges induced by a vertex subset."""
-    verts = sorted(set(subset))
-    if len(verts) < 2:
-        raise ValueError("subset must contain at least two distinct vertices")
-    if verts[0] < 0 or verts[-1] >= G.n:
-        raise ValueError(f"vertex ids must lie in [0, {G.n})")
-    seen = set()
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            seen.add(G.color(verts[a], verts[b]))
-    return len(seen)
 
 
 def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyVerdict:
@@ -340,23 +320,15 @@ def cauchy_schwarz_floor(G: ColoredCompleteGraph) -> int:
     return -(-(e * e) // G.num_colors)
 
 
-def relabel_colors(G: ColoredCompleteGraph, perm) -> ColoredCompleteGraph:
-    """Apply a bijection on color ids; perm[old_id] gives the new id."""
-    perm = list(perm)
-    if sorted(perm) != list(range(G.num_colors)):
-        raise ValueError("perm must be a bijection on 0..num_colors-1")
-    return ColoredCompleteGraph(G.n, tuple(perm[c] for c in G.edge_colors))
-
-
 def permute_vertices(G: ColoredCompleteGraph, perm) -> ColoredCompleteGraph:
     """Relabel vertices; perm[old_id] gives the new vertex id."""
     perm = list(perm)
     if sorted(perm) != list(range(G.n)):
         raise ValueError("perm must be a bijection on 0..n-1")
     out = [0] * edge_count(G.n)
-    for i, j in edge_pairs(G.n):
+    for (i, j), c in zip(combinations(range(G.n), 2), G.edge_colors):
         a, b = perm[i], perm[j]
         if a > b:
             a, b = b, a
-        out[edge_index(G.n, a, b)] = G.color(i, j)
+        out[edge_index(G.n, a, b)] = c
     return ColoredCompleteGraph(G.n, tuple(out))

@@ -196,9 +196,12 @@ def behrend_set(size_target: int) -> tuple[int, ...]:
     ties between radii go to the smallest radius.  The whole sphere is
     returned, shifted by +1 to keep every element positive.
     """
+    _require_ints((size_target,), "size_target")
     if size_target < 1:
         raise ValueError("size_target must be positive")
     for dim in count(1):
+        if dim**dim < size_target:  # no sphere holds more than all d^d vectors
+            continue
         counts = _sphere_counts(dim)
         best = max(counts)
         if best >= size_target:

@@ -185,6 +185,8 @@ class SetSystem:
         if self.d < 2:
             raise ValueError("intersection arity d must be at least 2")
         sets = tuple(frozenset(s) for s in self.sets)
+        if not sets:
+            raise ValueError("need at least one set")
         object.__setattr__(self, "sets", sets)
         for idx, s in enumerate(sets):
             if not s:
@@ -198,9 +200,10 @@ class SetSystem:
 
 
 def lemma_hypothesis_holds(inst: SetSystem) -> bool:
-    """Exact check of k >= 2d n^d / m^d with m the minimum subset size."""
-    m = inst.min_size
-    return len(inst.sets) * m**inst.d >= 2 * inst.d * inst.n**inst.d
+    """Exact check of k >= 2d n^d / m^d with m the minimum subset size;
+    as m <= n, any k < 2d fails before a power is taken."""
+    k, d = len(inst.sets), inst.d
+    return k >= 2 * d and k * inst.min_size**d >= 2 * d * inst.n**d
 
 
 def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
@@ -215,19 +218,19 @@ def counting_lemma_find(inst: SetSystem) -> tuple[tuple[int, ...], int] | None:
     loop over per-depth state (the next index to try and the prefix's
     intersection), so d has no limit.
     """
-    d, n = inst.d, inst.n
-    k = len(inst.sets)
+    d, n, sets = inst.d, inst.n, inst.sets
+    k = len(sets)
     if k < d:
         return None
-    m = inst.min_size
-    rhs = m**d
+    rhs = inst.min_size**d
     factor = 2 * n ** (d - 1)
-
+    # one mask bit per element in use, so a huge universe costs nothing
+    bit = {x: 1 << i for i, x in enumerate(frozenset().union(*sets))}
     masks = []
-    for s in inst.sets:
+    for s in sets:
         acc = 0
         for x in s:
-            acc |= 1 << x
+            acc |= bit[x]
         masks.append(acc)
 
     nxt = [0] * d  # per depth: the next index to try, one past the chosen one

@@ -32,7 +32,6 @@ __all__ = [
     "load_point_set",
     "save_point_set",
     "load_set_system",
-    "save_set_system",
 ]
 
 
@@ -45,6 +44,8 @@ def _read(path) -> object:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_coloring(path) -> ColoredCompleteGraph:
@@ -109,11 +110,3 @@ def load_set_system(path) -> SetSystem:
     ):
         raise ValueError(f"{path}: 'sets' must be an array of integer arrays")
     return SetSystem(n, tuple(frozenset(s) for s in sets), d)
-
-
-def save_set_system(path, inst: SetSystem) -> None:
-    Path(path).write_text(
-        dump_json(
-            {"n": inst.n, "sets": [sorted(s) for s in inst.sets], "d": inst.d}
-        )
-    )

@@ -13,8 +13,11 @@ color per distinct positive difference or squared distance.  Local
 difference/distance properties of the set then coincide exactly with
 the local color property of the graph, so the direct verifiers are the
 reductions: verify_diff_local_property and verify_distance_local_property
-validate their input, reduce, run coloring.verify_local_property and map
-the witness's vertex indices back to elements or points.
+validate their input once, then share one step that reduces, runs
+coloring.verify_local_property and maps the witness's vertex indices back
+to elements or points.  The additive energy is read off the difference
+graph: E(A) = |A|^2 + 2 * sum_d m_d^2 = |A|^2 + 2 * color_energy, since
+a + b = c + d exactly when a - c = d - b, and m_d pairs differ by d > 0.
 
 min_difference_set finds the least |A - A| under a (k, ell) difference
 property by a depth-first search over the candidates in lexicographic
@@ -29,8 +32,8 @@ and sets_examined are exactly those of a plain scan of every candidate.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .coloring import (
@@ -38,6 +41,7 @@ from .coloring import (
     LocalSpec,
     PropertyVerdict,
     _require_ints,
+    color_energy,
     verify_local_property,
 )
 
@@ -45,13 +49,11 @@ __all__ = [
     "integer_set",
     "point_set",
     "difference_set",
-    "sum_set",
     "additive_energy",
     "verify_diff_local_property",
     "verify_distance_local_property",
     "difference_color_graph",
     "distance_color_graph",
-    "repeated_difference_bound_check",
     "DiffSetSearchResult",
     "min_difference_set",
 ]
@@ -81,23 +83,13 @@ def difference_set(values) -> tuple[int, ...]:
     return tuple(sorted({y - x for i, x in enumerate(a) for y in a[i + 1 :]}))
 
 
-def sum_set(values) -> tuple[int, ...]:
-    """All pairwise sums (repeats allowed: a + a counts), ascending."""
-    a = integer_set(values)
-    if not a:
-        raise ValueError("need at least one element")
-    return tuple(sorted({x + y for x in a for y in a}))
-
-
 def additive_energy(values) -> int:
-    """Number of ordered quadruples (a, b, c, d) with a + b = c + d.
-
-    Computed as sum over s of r(s)^2 where r(s) counts ordered pairs
-    summing to s; exact integer arithmetic.
-    """
+    """Number of ordered quadruples (a, b, c, d) with a + b = c + d, which
+    is |A|^2 + 2 * color_energy(difference_color_graph(A)) (module docstring)."""
     a = integer_set(values)
-    r = Counter(x + y for x in a for y in a)
-    return sum(v * v for v in r.values())
+    if len(a) < 2:
+        return len(a)
+    return len(a) ** 2 + 2 * color_energy(_difference_graph(a))
 
 
 def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
@@ -107,17 +99,7 @@ def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
     elements; the witness of a failure is the least failing subset,
     reported as a tuple of elements.
     """
-    a = integer_set(values)
-    if spec.k > len(a):
-        raise ValueError(f"k={spec.k} exceeds set size {len(a)}")
-    verdict = verify_local_property(_difference_graph(a), spec)
-    if verdict.holds:
-        return verdict
-    return PropertyVerdict(False, tuple(a[i] for i in verdict.witness), verdict.witness_colors)
-
-
-def _squared_dist(p: tuple[int, int], q: tuple[int, int]) -> int:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+    return _verify_reduced(integer_set(values), _difference_graph, spec, "set size")
 
 
 def verify_distance_local_property(points, spec: LocalSpec) -> PropertyVerdict:
@@ -127,13 +109,17 @@ def verify_distance_local_property(points, spec: LocalSpec) -> PropertyVerdict:
     order; a failure witness is the least failing subset, reported as a
     tuple of points.
     """
-    pts = point_set(points)
-    if spec.k > len(pts):
-        raise ValueError(f"k={spec.k} exceeds point count {len(pts)}")
-    verdict = verify_local_property(distance_color_graph(pts), spec)
+    return _verify_reduced(point_set(points), _distance_graph, spec, "point count")
+
+
+def _verify_reduced(items: tuple, reduce, spec: LocalSpec, what: str) -> PropertyVerdict:
+    """verify_local_property on reduce(items), the witness mapped back to items."""
+    if spec.k > len(items):
+        raise ValueError(f"k={spec.k} exceeds {what} {len(items)}")
+    verdict = verify_local_property(reduce(items), spec)
     if verdict.holds:
         return verdict
-    return PropertyVerdict(False, tuple(pts[i] for i in verdict.witness), verdict.witness_colors)
+    return PropertyVerdict(False, tuple(items[i] for i in verdict.witness), verdict.witness_colors)
 
 
 def difference_color_graph(values) -> ColoredCompleteGraph:
@@ -152,8 +138,7 @@ def difference_color_graph(values) -> ColoredCompleteGraph:
 
 def _difference_graph(a: tuple[int, ...]) -> ColoredCompleteGraph:
     """difference_color_graph of an already normalized set of >= 2 elements."""
-    raw = [a[j] - a[i] for i in range(len(a)) for j in range(i + 1, len(a))]
-    return ColoredCompleteGraph.from_sparse(len(a), raw)
+    return ColoredCompleteGraph.from_sparse(len(a), [y - x for x, y in combinations(a, 2)])
 
 
 def distance_color_graph(points) -> ColoredCompleteGraph:
@@ -165,32 +150,13 @@ def distance_color_graph(points) -> ColoredCompleteGraph:
     pts = point_set(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    raw = [
-        _squared_dist(pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    ]
+    return _distance_graph(pts)
+
+
+def _distance_graph(pts: tuple[tuple[int, int], ...]) -> ColoredCompleteGraph:
+    """distance_color_graph of already validated points, at least two."""
+    raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2)]
     return ColoredCompleteGraph.from_sparse(len(pts), raw)
-
-
-def repeated_difference_bound_check(values):
-    """Largest multiplicity of a positive difference, with its witnesses.
-
-    Returns (max_multiplicity, [(difference, ((hi, lo), ...)), ...]) for
-    every difference attaining the max, ascending, each with its ordered
-    (larger, smaller) pairs.  A multiplicity >= 3 involving four distinct
-    elements forces the (4, 5) difference property to fail.
-    """
-    a = integer_set(values)
-    if len(a) < 2:
-        raise ValueError("need at least two elements")
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            occ.setdefault(a[j] - a[i], []).append((a[j], a[i]))
-    top = max(len(v) for v in occ.values())
-    witnesses = [(d, tuple(occ[d])) for d in sorted(occ) if len(occ[d]) == top]
-    return top, witnesses
 
 
 @dataclass(frozen=True)
@@ -244,6 +210,9 @@ def min_difference_set(
     would make.  max_sets caps it: when more candidates exist the status
     is "budget-exhausted", with the best among the first max_sets.
     """
+    _require_ints((n, range_cap), "n and range_cap")
+    if max_sets is not None:
+        _require_ints((max_sets,), "max_sets")
     if n < 1:
         raise ValueError("n must be positive")
     if n > range_cap:

@@ -259,6 +259,15 @@ def test_solve_f_unsatisfiable_and_infeasible():
     assert json.loads(proc.stdout)["status"] == "infeasible"
 
 
+def test_k_below_2_is_refused_by_both_solvers(capsys):
+    for argv in (["solve-f"], ["solve-g", "--range-cap", "8"]):
+        for k in ("-1", "0", "1"):
+            assert cli.main([*argv, "--n", "3", "--k", k, "--ell", "1"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.splitlines()[-1] == "localprops: error: k must be at least 2"
+
+
 def test_solve_f_budget_exhaustion_is_exit_zero():
     proc = run_cli("solve-f", "--n", "6", "--k", "3", "--ell", "3", "--node-limit", "10")
     assert proc.returncode == 0
@@ -341,6 +350,14 @@ def test_lemma_check(tmp_path):
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["status"] == "none" and payload["hypothesis_holds"] is False
+
+
+def test_lemma_check_empty_family_exits_2(tmp_path):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"n": 4, "sets": [], "d": 2}))
+    proc = run_cli("lemma-check", "--input", str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "localprops: error: need at least one set\n"
 
 
 def test_payload_written_to_output_file(tmp_path):

@@ -18,13 +18,10 @@ from localprops import (
     color_histogram,
     edge_count,
     edge_index,
-    edge_pairs,
     monochromatic,
     permute_vertices,
     rainbow,
     random_coloring,
-    relabel_colors,
-    subset_color_count,
     verify_local_property,
 )
 from localprops.coloring import _raw_holds
@@ -40,7 +37,7 @@ from oracles import (
 
 def test_edge_index_matches_enumeration_order():
     for n in range(2, 9):
-        for pos, (i, j) in enumerate(edge_pairs(n)):
+        for pos, (i, j) in enumerate(combinations(range(n), 2)):
             assert edge_index(n, i, j) == pos
     with pytest.raises(ValueError):
         edge_index(4, 2, 2)
@@ -57,25 +54,6 @@ def test_graph_validation():
     assert g.edge_colors == (0, 0, 1)
     assert g.num_colors == 2
     assert ColoredCompleteGraph(1, ()).num_colors == 0
-
-
-def test_subset_color_count_examples():
-    g = ColoredCompleteGraph(4, (0, 0, 1, 1, 2, 2))  # edges 01,02,03,12,13,23
-    assert subset_color_count(g, {0, 1, 2}) == 2
-    r5 = rainbow(5)
-    for s in combinations(range(5), 3):
-        assert subset_color_count(r5, s) == 3
-    assert subset_color_count(monochromatic(6), range(6)) == 1
-
-
-def test_subset_color_count_errors():
-    g = rainbow(4)
-    with pytest.raises(ValueError):
-        subset_color_count(g, {0})
-    with pytest.raises(ValueError):
-        subset_color_count(g, {0, 4})
-    with pytest.raises(ValueError):
-        subset_color_count(g, {-1, 2})
 
 
 def test_verify_local_property_examples():
@@ -326,25 +304,12 @@ def test_cauchy_schwarz_inequality_fuzz():
         assert color_energy(g) >= cauchy_schwarz_floor(g)
 
 
-def test_relabel_colors():
-    g = ColoredCompleteGraph(3, (0, 0, 1))
-    assert relabel_colors(g, [0, 1]) == g
-    swapped = relabel_colors(g, [1, 0])
-    assert sorted(color_histogram(swapped).values()) == [1, 2]
-    r4 = rainbow(4)
-    assert relabel_colors(r4, [3, 2, 5, 0, 1, 4]).num_colors == 6
-    with pytest.raises(ValueError):
-        relabel_colors(g, [0, 0])
-    with pytest.raises(ValueError):
-        relabel_colors(g, [0, 2])
-
-
 def test_statistics_invariant_under_relabeling():
     rng = random.Random(99)
     for g in random_graph_corpus(17, 30, n_hi=8):
         perm = list(range(g.num_colors))
         rng.shuffle(perm)
-        h = relabel_colors(g, perm)
+        h = ColoredCompleteGraph(g.n, tuple(perm[c] for c in g.edge_colors))
         assert h.num_colors == g.num_colors
         assert sorted(color_histogram(h).values()) == sorted(color_histogram(g).values())
         assert color_energy(h) == color_energy(g)

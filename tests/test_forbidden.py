@@ -22,7 +22,6 @@ from localprops import (
     popular_intersection_search,
     rainbow,
     monochromatic,
-    relabel_colors,
     verify_local_property,
 )
 from oracles import (
@@ -192,7 +191,7 @@ def test_detectors_invariant_under_relabelings():
         rng.shuffle(cperm)
         vperm = list(range(g.n))
         rng.shuffle(vperm)
-        h = permute_vertices(relabel_colors(g, cperm), vperm)
+        h = permute_vertices(ColoredCompleteGraph(g.n, tuple(cperm[c] for c in g.edge_colors)), vperm)
         assert max_mono_degree(h)[0] == max_mono_degree(g)[0]
         assert len(mono_degree_violations(h, p)) == len(mono_degree_violations(g, p))
         for j in (0, 1):
@@ -204,6 +203,8 @@ def test_detectors_invariant_under_relabelings():
 def test_set_system_validation():
     with pytest.raises(ValueError):
         SetSystem(4, (frozenset(),), 2)
+    with pytest.raises(ValueError, match="^need at least one set$"):
+        SetSystem(4, (), 2)
     with pytest.raises(ValueError):
         SetSystem(4, (frozenset({0, 4}),), 2)
     with pytest.raises(ValueError):
@@ -264,6 +265,20 @@ def _set_systems(draw):
 @given(_set_systems())
 def test_counting_lemma_matches_unpruned_scan_fuzzed(inst):
     assert counting_lemma_find(inst) == brute_lemma_find(inst)
+
+
+def test_counting_lemma_on_a_huge_universe():
+    # masks get one bit per element in use, so a universe of 10^30 costs nothing
+    huge = 10**30
+    rng = random.Random(73)
+    for _ in range(40):
+        used = rng.sample([0, 1, 7, huge // 3, huge - 1], rng.randint(2, 5))
+        sets = tuple(frozenset(rng.sample(used, rng.randint(1, len(used)))) for _ in range(rng.randint(2, 6)))
+        inst = SetSystem(huge, sets, 2)
+        assert counting_lemma_find(inst) == brute_lemma_find(inst)
+        assert not lemma_hypothesis_holds(inst)
+    # k < 2d decides the hypothesis before any power of n or m is taken
+    assert not lemma_hypothesis_holds(SetSystem(3, (frozenset({0}), frozenset({1, 2})), huge))
 
 
 def test_counting_lemma_has_no_depth_limit():

@@ -12,7 +12,6 @@ from localprops.io import (
     save_coloring,
     save_integer_set,
     save_point_set,
-    save_set_system,
 )
 
 
@@ -47,6 +46,14 @@ def test_coloring_load_rejects_malformed(tmp_path):
         f.write_text(text)
         with pytest.raises(ValueError):
             load_coloring(f)
+
+
+def test_loaders_refuse_too_deeply_nested_json(tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 5000 + "]" * 5000)
+    for load in (load_coloring, load_integer_set, load_point_set, load_set_system):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load(f)
 
 
 def test_loaders_reject_json_booleans_as_integers(tmp_path):
@@ -98,7 +105,7 @@ def test_point_set_roundtrip(tmp_path):
 def test_set_system_roundtrip(tmp_path):
     f = tmp_path / "sys.json"
     inst = SetSystem(5, (frozenset({0, 1}), frozenset({2, 3, 4})), 2)
-    save_set_system(f, inst)
+    f.write_text(dump_json({"n": inst.n, "sets": [sorted(s) for s in inst.sets], "d": inst.d}))
     assert load_set_system(f) == inst
     f.write_text(json.dumps({"n": 5, "sets": [[0, 9]], "d": 2}))
     with pytest.raises(ValueError):

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from localprops import (
     LocalSpec,
     additive_energy,
+    behrend_set,
     collinear_point_set,
+    color_histogram,
     difference_color_graph,
     difference_set,
     distance_color_graph,
     integer_set,
     min_difference_set,
     point_set,
-    repeated_difference_bound_check,
-    sum_set,
     verify_diff_local_property,
     verify_distance_local_property,
 )
@@ -39,16 +39,10 @@ def test_difference_set_examples():
         difference_set([5])
 
 
-def test_sum_set_examples():
-    assert sum_set([1, 2]) == (2, 3, 4)
-    for n in (2, 5, 8):
-        assert sum_set(range(1, n + 1)) == tuple(range(2, 2 * n + 1))
-    assert sum_set([1, 2, 4]) == (2, 3, 4, 5, 6, 8)
-
-
 def test_additive_energy_examples():
     assert additive_energy([1, 2, 3]) == 19 == brute_additive_energy([1, 2, 3])
-    assert additive_energy([42]) == 1
+    assert additive_energy([]) == 0 == brute_additive_energy([])
+    assert additive_energy([42]) == 1 == brute_additive_energy([42])
     sidon = [1, 2, 5, 11]
     assert additive_energy(sidon) == 2 * 16 - 4 == brute_additive_energy(sidon)
 
@@ -68,7 +62,7 @@ def test_additive_energy_bounds():
         e = additive_energy(vals)
         assert n * n <= e <= n**3
         # Cauchy-Schwarz link to the sum set, cross-multiplied
-        assert e * len(sum_set(vals)) >= n**4
+        assert e * len({x + y for x in vals for y in vals}) >= n**4
 
 
 def test_verify_diff_local_property_examples():
@@ -154,33 +148,30 @@ def test_translation_reflection_invariance():
         reflected = [t - v for v in vals]
         assert difference_set(vals) == difference_set(shifted) == difference_set(reflected)
         assert additive_energy(vals) == additive_energy(shifted) == additive_energy(reflected)
-        assert (
-            repeated_difference_bound_check(vals)[0]
-            == repeated_difference_bound_check(shifted)[0]
-            == repeated_difference_bound_check(reflected)[0]
-        )
+        assert max_multiplicity(vals) == max_multiplicity(shifted) == max_multiplicity(reflected)
+
+
+def max_multiplicity(vals):
+    """Largest multiplicity of a positive difference of vals."""
+    return max(color_histogram(difference_color_graph(vals)).values())
 
 
 def test_repeated_difference_examples():
-    top, witnesses = repeated_difference_bound_check([1, 2, 3])
-    assert top == 2 and witnesses == [(1, ((2, 1), (3, 2)))]
-    top, _ = repeated_difference_bound_check([1, 2, 3, 4])
-    assert top == 3
+    assert max_multiplicity([1, 2, 3]) == 2
+    assert max_multiplicity([1, 2, 3, 4]) == 3
     assert not verify_diff_local_property([1, 2, 3, 4], LocalSpec(4, 5)).holds
-    assert repeated_difference_bound_check([1, 2, 5, 11])[0] == 1
+    assert max_multiplicity([1, 2, 5, 11]) == 1
 
 
 def test_repeated_difference_contract():
+    # two of three pairs with one difference d are disjoint, {a, a+d} and
+    # {b, b+d}; those four elements repeat both d and b - a, so they span
+    # at most C(4,2) - 2 = 4 differences
     rng = random.Random(888)
     seen = 0
     for _ in range(300):
         vals = tuple(sorted(rng.sample(range(1, 40), rng.randint(4, 8))))
-        top, witnesses = repeated_difference_bound_check(vals)
-        if top < 3:
-            continue
-        d, pairs = witnesses[0]
-        involved = {x for pair in pairs for x in pair}
-        if len(involved) >= 4:
+        if max_multiplicity(vals) >= 3:
             seen += 1
             assert not verify_diff_local_property(vals, LocalSpec(4, 5)).holds
     assert seen >= 30
@@ -303,6 +294,23 @@ def test_point_set_takes_only_int_coordinates():
         with pytest.raises(ValueError, match="integers"):
             point_set(bad)
     assert point_set([[0, 0], (3, 4)]) == ((0, 0), (3, 4))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: behrend_set(True), "size_target must be integers, got True"),
+        (lambda: behrend_set(2.5), "size_target must be integers, got 2.5"),
+        (lambda: min_difference_set(True, LocalSpec(2, 1), 5), "n and range_cap must be integers, got True"),
+        (lambda: min_difference_set(3, LocalSpec(3, 3), 7.0), "n and range_cap must be integers, got 7.0"),
+        (lambda: min_difference_set(3, LocalSpec(3, 3), 7, 2.5), "max_sets must be integers, got 2.5"),
+        (lambda: min_difference_set(3, LocalSpec(3, 3), 7, False), "max_sets must be integers, got False"),
+    ],
+)
+def test_set_constructions_take_only_int_sizes(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_diff_verifier_has_no_depth_limit():

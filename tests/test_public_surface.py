@@ -1,0 +1,82 @@
+"""The public surface holds only what something uses.
+
+Every name a module lists in __all__ is referenced in code by another
+module of the package (the CLI included) or by the benchmark harness
+under perfbench/, or it is kept on purpose, with its reason in KEEP.  A
+result type counts as used through the public function that returns it.
+The package re-exports exactly the library modules' __all__ names.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import localprops
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "localprops"
+LIBRARY = ["coloring", "constructions", "energy", "forbidden", "numbersets", "solver"]
+
+KEEP = {
+    "monochromatic": "the extremal example: every k-subset spans one color",
+    "additive_energy": "the paper's statistic, computed from the color energy",
+    "verify_isosceles_free": "checks the paper's distinct-distance construction",
+}
+
+
+def _referenced(path: Path) -> set[str]:
+    """Every identifier a file's code names: variables, attributes, imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _returned(module: str) -> set[str]:
+    """Identifiers in the return annotations of a module's public functions."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.returns:
+            names.update(n.id for n in ast.walk(node.returns) if isinstance(n, ast.Name))
+    return names
+
+
+def _users(module: str) -> set[str]:
+    """Identifiers referenced by the package's other modules and by perfbench,
+    and the result types the module's own public functions return."""
+    files = [p for p in PACKAGE.glob("*.py") if p.stem not in (module, "__init__")]
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    return set().union(_returned(module), *map(_referenced, files))
+
+
+def test_package_reexports_exactly_the_library_names():
+    exported = {
+        name
+        for name, value in vars(localprops).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    declared = set()
+    for module in LIBRARY:
+        declared.update(importlib.import_module(f"localprops.{module}").__all__)
+    assert exported == declared
+
+
+@pytest.mark.parametrize("module", [*LIBRARY, "io"])
+def test_every_public_name_has_a_user_or_a_reason(module):
+    public = importlib.import_module(f"localprops.{module}").__all__
+    unused = set(public) - _users(module) - set(KEEP)
+    assert not unused, f"{module} exports names nothing uses: {sorted(unused)}"
+
+
+def test_every_kept_name_is_public_and_otherwise_unused():
+    for name in KEEP:
+        module = next(m for m in [*LIBRARY, "io"] if name in importlib.import_module(f"localprops.{m}").__all__)
+        assert name not in _users(module), f"{name} is used; it needs no KEEP entry"
