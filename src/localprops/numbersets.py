@@ -25,9 +25,15 @@ order, on int bitmasks: the prefix's differences form one mask, its
 elements one reflected mask (a shift yields every new difference x - y
 at once), and each small subset of the prefix keeps its own pair of
 masks, so checking a new element is one OR and one bit count per
-(k-1)-subset.  Pruned subtrees and skipped runs are counted by binomial
-coefficients, so the certificate (the lexicographically least optimum)
-and sets_examined are exactly those of a plain scan of every candidate.
+(k-1)-subset.  A candidate A whose mirror image {a_n + 1 - a : a in A}
+comes first in lexicographic order is never built: the mirror image has
+the same difference set and verdict and was reached before it, so A
+could at best tie, and ties lose.  Each visit to a depth takes the
+elements still allowed there as one mask and tests them in ascending
+order up to the first that passes.  Pruned subtrees and skipped runs are
+counted by binomial coefficients, so the certificate (the
+lexicographically least optimum) and sets_examined are exactly those of
+a plain scan of every candidate.
 """
 
 from __future__ import annotations
@@ -192,23 +198,34 @@ def min_difference_set(
     Translation is normalized away (min element pinned to 1) and the
     candidates (1, a2, ..., an) are searched depth first in
     lexicographic order, so the first optimum found is the
-    lexicographically least one.  A reflection has the same difference
-    set and the same verdict, so it needs no separate test.  A subtree
-    is pruned when
+    lexicographically least one.  A subtree is pruned when
       - its prefix holds a failing k-subset (the property is hereditary);
       - its difference count plus one per element still to add reaches
         the best size so far: each later element z brings its new
         largest difference z - 1, and a later candidate loses every tie;
       - the best exists and even an element sharing no difference with
         the prefix would reach it: then only elements repeating enough
-        prefix differences are visited, and each skipped run is counted
-        in one step.
-    Specs with k > n hold vacuously.
+        prefix differences are visited;
+      - every completion has a last gap a_n - a_(n-1) below the first
+        gap a2 - 1.  Then the reflection R(A) = {a_n + 1 - a : a in A},
+        which has the same difference set and the same verdict, starts
+        (1, a_n + 1 - a_(n-1), ...) and so precedes A in the scan, within
+        the same range and the same max_sets.  By the time A is reached,
+        R(A) has failed or the best is no larger than |R(A) - R(A)|, so A
+        could at best tie.  Hence a2 <= (cap - n + 4) // 2, an element
+        with r elements still to add (itself included, r >= 2) is at most
+        cap + 3 - r - a2, and the last element starts at a_(n-1) + a2 - 1.
+    Each visit to a depth tests the elements left there, as one mask, in
+    ascending order and stops at the first that passes every
+    (k-1)-subset check; the run before it is counted in one step, and an
+    element past max_sets is never taken.  Specs with k > n hold
+    vacuously.
 
     sets_examined counts candidates in lexicographic order, pruned ones
-    included, so it equals the number a plain scan of every candidate
-    would make.  max_sets caps it: when more candidates exist the status
-    is "budget-exhausted", with the best among the first max_sets.
+    included (mirror images too), so it equals the number a plain scan of
+    every candidate would make.  max_sets caps it: when more candidates
+    exist the status is "budget-exhausted", with the best among the first
+    max_sets.
     """
     _require_ints((n, range_cap), "n and range_cap")
     if max_sets is not None:
@@ -233,7 +250,6 @@ def min_difference_set(
     diffs = [0] * n  # per depth: the prefix's difference mask
     refl = [0] * n  # per depth: the prefix's reflected element mask
     nxt = [0] * n  # per depth: the next element to try
-    near = [None] * n  # per depth: (need, the x repeating >= need differences)
     marks = [None] * n  # per depth: row lengths of subs before it was entered
     best_size = comb(n, 2) + 1  # above any |A - A|
     best = None
@@ -244,48 +260,55 @@ def min_difference_set(
         r = n - p  # elements still to add, this one included
         x = nxt[p]
         D = diffs[p]
-        base = D.bit_count()
-        if base + r >= best_size or x > cap - r + 1:
-            examined += comb(cap - x + 1, r)  # every candidate left at this depth
+        # z adds p differences; it can win only if at least `need` of them are
+        # already in D, and only if it leaves room for a last gap >= a2 - 1:
+        # a_n >= z + (r - 2) + (a2 - 1) must stay <= cap, with a2 = z at depth 1
+        need = D.bit_count() + n - best_size
+        a2 = elems[1] if p > 1 else x
+        if r == 1:
+            lo, hi = max(x, elems[p - 1] + a2 - 1), cap
+        else:
+            lo, hi = x, (cap + 3 - r) // 2 if p == 1 else cap + 3 - r - a2
+        cand = (2 << hi) - 1 >> lo << lo if need < p else 0  # bits lo..hi
+        if need > 0 and cand:
+            atl = [-1] + [0] * need  # atl[c]: the z repeating >= c of them
+            for y in elems[:p]:
+                hit = D << y
+                for c in range(need, 0, -1):
+                    atl[c] |= atl[c - 1] & hit
+            cand &= atl[need]
+        z = cap + 1  # the first candidate passing every (k-1)-row
+        while cand:
+            low = cand & -cand
+            sh = cap + 1 - low.bit_length()
+            for m, s in last:
+                if (m | s >> sh).bit_count() < ell:
+                    break
+            else:
+                z = cap - sh
+                break
+            cand ^= low
+        # every candidate whose element here lies in x..z-1 is pruned, skipped
+        # or fails; comb(cap - x + 1, r) of them start at x or later
+        examined += comb(cap - x + 1, r) - comb(cap - z + 1, r)
+        if z > cap:
             if p > 1:
                 for row, mark in zip(subs, marks[p]):
                     del row[mark:]
             p -= 1
             continue
-        # x adds p differences; it can win only if at least `need` of them
-        # are already in D, and a skipped x..y-1 adds sum comb(cap - z, r - 1)
-        need = base + n - best_size
-        if need > 0:
-            if near[p] is None or near[p][0] != need:
-                atl = [-1] + [0] * need  # atl[c]: the x repeating >= c of them
-                for y in elems[:p]:
-                    hit = D << y
-                    for c in range(need, 0, -1):
-                        atl[c] |= atl[c - 1] & hit
-                near[p] = (need, atl[need])
-            t = near[p][1] >> x
-            y = min(x + (t & -t).bit_length() - 1, cap + 1) if t else cap + 1
-            if y != x:
-                examined += comb(cap - x + 1, r) - comb(cap - y + 1, r)
-                nxt[p] = y
-                continue
-        nxt[p] = x + 1
-        sh = cap - x
+        if examined >= limit:
+            break
+        nxt[p], elems[p] = z + 1, z
         new_diffs = D | refl[p] >> sh
-        for m, s in last:
-            if (m | s >> sh).bit_count() < ell:
-                examined += comb(sh, r - 1)
-                break
-        else:
-            elems[p] = x
-            if r == 1:
-                examined += 1
-                best_size, best = new_diffs.bit_count(), tuple(elems)
-                continue
-            marks[p + 1] = [len(row) for row in subs]
-            _add_element(subs, sh)
-            p += 1
-            diffs[p], refl[p], nxt[p], near[p] = new_diffs, refl[p - 1] | 1 << sh, x + 1, None
+        if r == 1:
+            examined += 1
+            best_size, best = new_diffs.bit_count(), tuple(elems)
+            continue
+        marks[p + 1] = [len(row) for row in subs]
+        _add_element(subs, sh)
+        p += 1
+        diffs[p], refl[p], nxt[p] = new_diffs, refl[p - 1] | 1 << sh, z + 1
 
     if limit < total:
         status, examined = "budget-exhausted", limit

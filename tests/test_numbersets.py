@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localprops import (
+    DiffSetSearchResult,
     LocalSpec,
     additive_energy,
     behrend_set,
@@ -236,6 +237,47 @@ def test_min_difference_set_matches_candidate_scan_exhaustively():
                         got = min_difference_set(n, LocalSpec(k, ell), cap, max_sets)
                         want = brute_min_difference_set(n, k, ell, cap, max_sets)
                         assert got == want, (n, cap, k, ell, max_sets)
+                        # the reflection prune rests on this: no certificate
+                        # comes after its own mirror image
+                        a = got.certificate
+                        if a is not None:
+                            assert a <= tuple(a[-1] + 1 - v for v in reversed(a))
+
+
+def test_min_difference_set_budget_sweep():
+    # every max_sets from 0 to total + 1, so the budget also ends inside a
+    # run of mirror-image candidates and inside the scan for the last element
+    for n in (3, 4, 5):
+        for cap in range(n, 12):
+            total = comb(cap - 1, n - 1)
+            for k, ell in ((2, 1), (3, 2), (3, 3), (4, 5)):
+                for max_sets in range(total + 2):
+                    got = min_difference_set(n, LocalSpec(k, ell), cap, max_sets)
+                    want = brute_min_difference_set(n, k, ell, cap, max_sets)
+                    assert got == want, (n, cap, k, ell, max_sets)
+
+
+# (n, k, ell, range_cap) -> status, value, certificate, sets_examined of the
+# two monte-carlo searches and the five cli-batch solve-g specs in perfbench;
+# these are a plain scan's results, which no prune may change
+PINNED_SEARCHES = {
+    (6, 4, 5, 22): ("optimal", 11, (1, 5, 8, 9, 10, 15), 20349),
+    (5, 3, 3, 30): ("optimal", 8, (1, 2, 4, 5, 10), 23751),
+    (4, 4, 5, 10): ("optimal", 5, (1, 2, 3, 6), 84),
+    (4, 4, 5, 12): ("optimal", 5, (1, 2, 3, 6), 165),
+    (5, 3, 3, 12): ("optimal", 8, (1, 2, 4, 5, 10), 330),
+    (5, 3, 3, 14): ("optimal", 8, (1, 2, 4, 5, 10), 715),
+    (4, 3, 3, 8): ("optimal", 4, (1, 2, 4, 5), 35),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+def test_min_difference_set_pinned_results(case):
+    n, k, ell, cap = case
+    status, value, cert, examined = PINNED_SEARCHES[case]
+    assert min_difference_set(n, LocalSpec(k, ell), cap) == DiffSetSearchResult(
+        status, value, cert, difference_set(cert), cap, examined
+    )
 
 
 @st.composite
