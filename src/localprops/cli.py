@@ -5,12 +5,12 @@ Usage examples:
     localprops verify-coloring --input coloring.json --k 3 --ell 3
     localprops verify-diffset --input set.json --k 4 --ell 5
     localprops verify-distances --input points.json --k 3 --ell 3
-    localprops construct --kind random-coloring --n 8 --colors 5 --seed 7 \
+    localprops construct --kind random-coloring --n 8 --colors 5 --seed 7 \\
         --artifact-out coloring.json
     localprops construct --kind behrend --size-target 32 --artifact-out set.json
-    localprops construct --kind collinear-points --input set.json \
+    localprops construct --kind collinear-points --input set.json \\
         --artifact-out points.json
-    localprops construct --kind estimate-probability --n 6 --colors 9 \
+    localprops construct --kind estimate-probability --n 6 --colors 9 \\
         --k 3 --ell 2 --trials 500 --seed 11
     localprops solve-f --n 5 --k 3 --ell 3 --certificate-out cert.json
     localprops solve-g --n 4 --k 4 --ell 5 --range-cap 10
@@ -18,10 +18,11 @@ Usage examples:
     localprops profile --input coloring.json --k 6 --m 2 --format csv
     localprops lemma-check --input system.json
 
-Exit status: 0 when the run succeeds or the property holds; 1 when a
-property fails or a query is infeasible (the payload carries the witness
-or failure report); 2 on usage or parse errors.  Budget exhaustion is a
-status field in the payload, not an exit code.  Randomized subcommands
+Exit status follows the payload's status field (EXIT_CODES): 0 for
+holds, ok, found, optimal, bound-only and budget-exhausted; 1 for fails,
+infeasible, unsatisfiable and none (the payload carries the witness or
+failure report); 2 on usage or parse errors, with no payload.  Budget
+exhaustion is a status, not an exit code.  Randomized subcommands
 require an explicit --seed and never read clocks or environment
 variables, so identical command lines produce byte-identical payloads.
 
@@ -30,7 +31,9 @@ name, help line, handler and options in the order help lists them, each
 option a flag with its add_argument keywords (type, required, choices,
 default, help); every subcommand also takes --output.  main() builds the
 parser from that table on its first call and reuses it for every later
-call in the process; importing this module builds nothing.
+call in the process; importing this module builds nothing.  A handler
+only computes: it returns (params, fields) or (params, fields, csv_text),
+and main() alone builds the payload, writes it and picks the exit code.
 """
 
 from __future__ import annotations
@@ -74,24 +77,15 @@ from .solver import SolveBudget, min_colors
 
 SCHEMA_VERSION = 1
 
-
-def _payload(subcommand: str, params: dict, **fields) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "localprops",
-        "version": __version__,
-        "subcommand": subcommand,
-        "params": params,
-    }
-    out.update(fields)
-    return out
+# the exit status of every status a handler returns
+EXIT_CODES = {
+    **dict.fromkeys(["holds", "ok", "found", "optimal", "bound-only", "budget-exhausted"], 0),
+    **dict.fromkeys(["fails", "infeasible", "unsatisfiable", "none"], 1),
+}
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        text = dump_json(payload)
+    text = csv_text if getattr(args, "format", None) == "csv" else dump_json(payload)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -106,7 +100,11 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _cmd_verify(args) -> int:
+def _echo(args, names) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
+def _cmd_verify(args):
     # looked up per call, so the cached parser binds no library function
     # and a patched module-level name takes effect on the next call
     load, size, verify = {
@@ -118,119 +116,81 @@ def _cmd_verify(args) -> int:
     instance = load(args.input)
     params = {"k": args.k, "ell": args.ell, "n": size(instance)}
     if spec.k > params["n"]:
-        _emit(args, _payload(args.subcommand, params, status="infeasible"))
-        return 1
+        return params, {"status": "infeasible"}
     verdict = verify(instance, spec)
-    _emit(
-        args,
-        _payload(
-            args.subcommand,
-            params,
-            status="holds" if verdict.holds else "fails",
-            witness=verdict.witness,
-            witness_colors=verdict.witness_colors,
-        ),
-    )
-    return 0 if verdict.holds else 1
+    return params, {
+        "status": "holds" if verdict.holds else "fails",
+        "witness": verdict.witness,
+        "witness_colors": verdict.witness_colors,
+    }
 
 
-def _require(args, names) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        args.parser.error(f"--kind {args.kind} requires {', '.join(missing)}")
+# the options each construct kind requires, in the order a usage error
+# names the missing ones; the params echo those that are not paths
+_CONSTRUCT_NEEDS = {
+    "random-coloring": ("n", "colors", "seed", "artifact_out"),
+    "behrend": ("size_target", "artifact_out"),
+    "collinear-points": ("input", "artifact_out"),
+    "estimate-probability": ("n", "colors", "k", "ell", "trials", "seed"),
+}
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     kind = args.kind
+    needs = _CONSTRUCT_NEEDS[kind]
+    missing = [f"--{n.replace('_', '-')}" for n in needs if getattr(args, n) is None]
+    if missing:
+        args.parser.error(f"--kind {kind} requires {', '.join(missing)}")
+    params = {"kind": kind, **_echo(args, (n for n in needs if n not in ("input", "artifact_out")))}
     if kind == "random-coloring":
-        _require(args, ["n", "colors", "seed", "artifact_out"])
         G = random_coloring(RandomColoringConfig(args.n, args.colors, args.seed))
         save_coloring(args.artifact_out, G)
-        params = {"n": args.n, "colors": args.colors, "seed": args.seed}
         fields = {"artifact": args.artifact_out, "num_colors_used": G.num_colors}
     elif kind == "behrend":
-        _require(args, ["size_target", "artifact_out"])
         out = behrend_set(args.size_target)
         save_integer_set(args.artifact_out, out)
-        params = {"size_target": args.size_target}
         fields = {"artifact": args.artifact_out, "size": len(out), "max_element": out[-1]}
     elif kind == "collinear-points":
-        _require(args, ["input", "artifact_out"])
         a = load_integer_set(args.input)
         if not a:
             raise ValueError("input set is empty")
         pts = collinear_point_set(a)
         save_point_set(args.artifact_out, pts)
-        params = {}
         fields = {"artifact": args.artifact_out, "size": len(pts)}
     else:  # estimate-probability
-        _require(args, ["n", "colors", "k", "ell", "trials", "seed"])
         spec = LocalSpec(args.k, args.ell)
         if spec.k > args.n:
-            params = {"kind": kind, "n": args.n, "k": args.k, "ell": args.ell}
-            _emit(args, _payload("construct", params, status="infeasible"))
-            return 1
-        params = {
-            "n": args.n,
-            "colors": args.colors,
-            "k": args.k,
-            "ell": args.ell,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
+            return _echo(args, ("kind", "n", "k", "ell")), {"status": "infeasible"}
         prob = estimate_property_probability(args.n, args.colors, spec, args.trials, args.seed)
         fields = {"probability": prob}
-    _emit(args, _payload("construct", {"kind": kind, **params}, status="ok", **fields))
-    return 0
+    return params, {"status": "ok", **fields}
 
 
-def _cmd_solve_f(args) -> int:
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "ell": args.ell,
-        "node_limit": args.node_limit,
-        "time_limit": args.time_limit,
-    }
+def _cmd_solve_f(args):
+    params = _echo(args, ("n", "k", "ell", "node_limit", "time_limit"))
     if args.k >= 2 and args.ell > comb(args.k, 2):  # k < 2 is refused by LocalSpec
-        _emit(args, _payload("solve-f", params, status="unsatisfiable"))
-        return 1
+        return params, {"status": "unsatisfiable"}
     spec = LocalSpec(args.k, args.ell)
     if spec.k > args.n:
-        _emit(args, _payload("solve-f", params, status="infeasible"))
-        return 1
-    budget = SolveBudget(args.node_limit, args.time_limit)
-    result = min_colors(args.n, spec, budget)
+        return params, {"status": "infeasible"}
+    result = min_colors(args.n, spec, SolveBudget(args.node_limit, args.time_limit))
     if args.certificate_out and result.certificate is not None:
         save_coloring(args.certificate_out, result.certificate)
     if args.log_out:
         Path(args.log_out).write_text(_csv(["c", "nodes", "outcome"], result.log))
-    _emit(
-        args,
-        _payload(
-            "solve-f",
-            params,
-            status=result.status,
-            value=result.value,
-            lower_bound=result.lower_bound,
-            certificate=args.certificate_out if result.certificate else None,
-            levels=[{"c": c, "nodes": n, "outcome": o} for c, n, o in result.log],
-        ),
-    )
-    return 0
-
-
-def _cmd_solve_g(args) -> int:
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "ell": args.ell,
-        "range_cap": args.range_cap,
-        "max_sets": args.max_sets,
+    return params, {
+        "status": result.status,
+        "value": result.value,
+        "lower_bound": result.lower_bound,
+        "certificate": args.certificate_out if result.certificate else None,
+        "levels": [{"c": c, "nodes": n, "outcome": o} for c, n, o in result.log],
     }
+
+
+def _cmd_solve_g(args):
+    params = _echo(args, ("n", "k", "ell", "range_cap", "max_sets"))
     if args.k >= 2 and args.ell > comb(args.k, 2):  # k < 2 is refused by LocalSpec
-        _emit(args, _payload("solve-g", params, status="unsatisfiable"))
-        return 1
+        return params, {"status": "unsatisfiable"}
     spec = LocalSpec(args.k, args.ell)
     result = min_difference_set(args.n, spec, args.range_cap, args.max_sets)
     cert = None
@@ -241,45 +201,33 @@ def _cmd_solve_g(args) -> int:
         }
         if args.certificate_out:
             Path(args.certificate_out).write_text(dump_json(cert))
-    _emit(
-        args,
-        _payload(
-            "solve-g",
-            params,
-            status=result.status,
-            value=result.value,
-            certificate=cert,
-            sets_examined=result.sets_examined,
-            scope=f"exact over subsets of [1, {args.range_cap}]; "
-            "upper bound for the uncapped minimum",
-        ),
-    )
-    if result.status == "infeasible":
-        return 1
-    return 0
+    return params, {
+        "status": result.status,
+        "value": result.value,
+        "certificate": cert,
+        "sets_examined": result.sets_examined,
+        "scope": f"exact over subsets of [1, {args.range_cap}]; "
+        "upper bound for the uncapped minimum",
+    }
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args):
     G = load_coloring(args.input)
     bins, contributions = dyadic_bins(G)
     total = sum(contributions)
-    cs = cauchy_schwarz_floor(G) if G.num_colors else None
     columns = ["j", "bin_count", "contribution"]
     rows = [[j, bc, contrib] for j, (bc, contrib) in enumerate(zip(bins, contributions))]
-    payload = _payload(
-        "energy",
-        {"n": G.n},
-        status="ok",
-        num_colors=G.num_colors,
-        energy=total,
-        cauchy_schwarz_floor=cs,
-        decomposition=[dict(zip(columns, row)) for row in rows],
-    )
-    _emit(args, payload, _csv(columns, rows + [["total", "", total]]))
-    return 0
+    fields = {
+        "status": "ok",
+        "num_colors": G.num_colors,
+        "energy": total,
+        "cauchy_schwarz_floor": cauchy_schwarz_floor(G) if G.num_colors else None,
+        "decomposition": [dict(zip(columns, row)) for row in rows],
+    }
+    return {"n": G.n}, fields, _csv(columns, rows + [["total", "", total]])
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     p = DetectorParams(args.k, args.m)
     G = load_coloring(args.input)
     rows = bound_report(G, p, locate=args.locate, tuple_budget=args.tuple_budget)
@@ -292,69 +240,47 @@ def _cmd_profile(args) -> int:
         ]
         if r.remark_zone:
             flags.append("remark_zone")
-        d = {
-            "j": r.j,
-            "bin_count": r.bin_count,
-            "k_j": r.cum_count,
-            "poor_bound_num": r.poor_bound[0],
-            "poor_bound_den": r.poor_bound[1],
-            "rich_bound_num": r.rich_bound[0],
-            "rich_bound_den": r.rich_bound[1],
-            "flags": ";".join(flags),
-            "min_support": r.min_support,
-            "support_bound_num": r.support_bound[0],
-            "support_bound_den": r.support_bound[1],
-        }
+        d = {"j": r.j, "bin_count": r.bin_count, "k_j": r.cum_count, "min_support": r.min_support}
+        d["flags"] = ";".join(flags)
+        for name in ("poor_bound", "rich_bound", "support_bound"):
+            d[f"{name}_num"], d[f"{name}_den"] = getattr(r, name)
         if r.located is not None:
             mono, hit = r.located
+            if hit is not None and hit != "budget-exceeded":
+                hit = {"colors": list(hit.colors), "vertices": sorted(hit.vertices)}
             d["located"] = {
                 "mono_degree_violations": [list(v) for v in mono],
-                "popular_intersection": (
-                    hit
-                    if hit is None or hit == "budget-exceeded"
-                    else {
-                        "colors": list(hit.colors),
-                        "vertices": sorted(hit.vertices),
-                    }
-                ),
+                "popular_intersection": hit,
             }
         row_dicts.append(d)
-    payload = _payload(
-        "profile",
-        {"n": G.n, "k": args.k, "m": args.m},
-        status="ok",
-        crossover=crossover_index(G.n, p),
-        bin_count=[r.bin_count for r in rows],
-        cum_count=[r.cum_count for r in rows],
-        rows=row_dicts,
-    )
+    fields = {
+        "status": "ok",
+        "crossover": crossover_index(G.n, p),
+        "bin_count": [r.bin_count for r in rows],
+        "cum_count": [r.cum_count for r in rows],
+        "rows": row_dicts,
+    }
     columns = [
-        "j",
-        "bin_count",
-        "k_j",
-        "poor_bound_num",
-        "poor_bound_den",
-        "rich_bound_num",
-        "rich_bound_den",
-        "flags",
+        "j", "bin_count", "k_j", "poor_bound_num", "poor_bound_den",
+        "rich_bound_num", "rich_bound_den", "flags",
     ]
-    _emit(args, payload, _csv(columns, ([d[c] for c in columns] for d in row_dicts)))
-    return 0
+    return (
+        {"n": G.n, "k": args.k, "m": args.m},
+        fields,
+        _csv(columns, ([d[c] for c in columns] for d in row_dicts)),
+    )
 
 
-def _cmd_lemma_check(args) -> int:
+def _cmd_lemma_check(args):
     inst = load_set_system(args.input)
     hit = counting_lemma_find(inst)
-    payload = _payload(
-        "lemma-check",
-        {"n": inst.n, "d": inst.d, "k": len(inst.sets), "min_set_size": inst.min_size},
-        status="found" if hit else "none",
-        hypothesis_holds=lemma_hypothesis_holds(inst),
-        indices=list(hit[0]) if hit else None,
-        intersection_size=hit[1] if hit else None,
-    )
-    _emit(args, payload)
-    return 0 if hit else 1
+    params = {"n": inst.n, "d": inst.d, "k": len(inst.sets), "min_set_size": inst.min_size}
+    return params, {
+        "status": "found" if hit else "none",
+        "hypothesis_holds": lemma_hypothesis_holds(inst),
+        "indices": list(hit[0]) if hit else None,
+        "intersection_size": hit[1] if hit else None,
+    }
 
 
 _REQUIRED = {"required": True}
@@ -428,10 +354,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        params, fields, *csv_text = args.func(args)
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "tool": "localprops",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "params": params,
+            **fields,
+        }
+        _emit(args, payload, *csv_text)
     except (ValueError, OSError) as exc:
         print(f"localprops: error: {exc}", file=sys.stderr)
         return 2
+    return EXIT_CODES[fields["status"]]
 
 
 if __name__ == "__main__":

@@ -111,9 +111,7 @@ def color_budget(n: int, spec: LocalSpec) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     p = spec.k - 2
-    q = spec.k * (spec.k - 1) // 2 - spec.ell + 1
-    if q <= 0:
-        raise ValueError("exponent denominator C(k,2) - ell + 1 must be positive")
+    q = spec.k * (spec.k - 1) // 2 - spec.ell + 1  # >= 1: LocalSpec has ell <= C(k,2)
     target = n**p
     # smallest x with x^q >= n^p, by bisection on integers: (2^ceil(b/q))^q
     # >= 2^b > target, where b is target's bit length

@@ -136,6 +136,7 @@ def bound_report(
     min_support = tuple(accumulate(reversed(least), min))[::-1]
     rich_num = 2 * n**b * b ** (b + 1) * a**b
     rows = []
+    mono = None  # one tuple for the whole report, found at the first located row
     for j, (bc, kj) in enumerate(zip(profile.bin_count, profile.cum_count)):
         pow_j = 1 << j
         pow_jb = 1 << (j * b)
@@ -144,7 +145,8 @@ def bound_report(
         remark = (1 << ((j - 1) * b) if j >= 1 else 0) < n ** (b - 1) < (1 << ((j + 1) * b))
         located = None
         if locate and j > profile.crossover and not rich_ok:
-            mono = tuple(mono_degree_violations(G, p))
+            if mono is None:
+                mono = tuple(mono_degree_violations(G, p))
             hit = None
             if pow_j >= a:
                 try:

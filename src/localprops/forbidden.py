@@ -164,9 +164,8 @@ def popular_intersection_search(
             inter &= masks[c]
             if inter.bit_count() < a:
                 break
-        else:
-            if inter.bit_count() >= a:
-                return PopularHit(combo, frozenset(v for v in range(G.n) if inter >> v & 1))
+        else:  # b >= 2, so the last check passed: |inter| >= a
+            return PopularHit(combo, frozenset(v for v in range(G.n) if inter >> v & 1))
     return None
 
 

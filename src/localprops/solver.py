@@ -168,8 +168,9 @@ def feasible(
 
     Returns the lexicographically least satisfying assignment (in
     assignment order) as a certificate, re-encoded in the row-major
-    edge index.  The deadline also bounds building the slot table;
-    min_colors passes one table, built for this (n, spec), to every level.
+    edge index.  The deadline (by default budget.time_limit_s from now)
+    also bounds building the slot table; min_colors passes its one
+    deadline, and one table built for this (n, spec), to every level.
     The search is one loop over per-position state (the color assigned,
     the highest color a branch may take and the allowed-color mask), so
     its depth, C(n,2), has no limit.  Each color a visit passes over or
@@ -186,6 +187,8 @@ def feasible(
     if c < spec.ell:
         # some k-subset exists (k <= n) and sees at most c < ell colors
         return FeasibleOutcome("no", None, 0)
+    if deadline is None and budget and budget.time_limit_s is not None:
+        deadline = time.monotonic() + budget.time_limit_s
     if _table is None:
         _table = _subset_checks(n, spec.k, spec.ell, deadline)
         if _table is None:

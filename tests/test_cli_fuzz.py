@@ -4,7 +4,8 @@ Each example draws a subcommand and, for every option the table declares,
 leaves it out or gives it a value: in range, out of range, of the wrong
 type, or (for files) one of the small inputs below, valid or not.  The
 contract checked is the one the CLI documents: exit status 0, 1 or 2, no
-traceback, on status 2 a stderr ending in one `error:` line, and the same
+traceback, on status 2 a stderr ending in one `error:` line, on status 0
+or 1 the exit status its JSON payload's `status` maps to, and the same
 stdout and written files from a second run of the same command line.
 
 Values stay small, and solve-f always gets a node limit, so each run is
@@ -24,6 +25,12 @@ from hypothesis import strategies as st
 from localprops import cli
 
 HUGE = 10**30
+
+# the documented exit status of each payload status
+EXIT_STATUS = {
+    **dict.fromkeys(["holds", "ok", "found", "optimal", "bound-only", "budget-exhausted"], 0),
+    **dict.fromkeys(["fails", "infeasible", "unsatisfiable", "none"], 1),
+}
 
 # (valid, invalid) inputs of each kind
 COLORINGS = (
@@ -197,4 +204,8 @@ def test_cli_contract_on_generated_command_lines(inputs, argv):
         assert sum("error:" in line for line in lines) == 1, (argv, err)
     else:
         assert err == "", (argv, err)
+        # the payload is on stdout or in --output; with --format csv there is none
+        text = written[argv[argv.index("--output") + 1]] if "--output" in argv else out
+        if "csv" not in argv:
+            assert EXIT_STATUS[json.loads(text)["status"]] == rc, (argv, rc, text)
     assert _run(inputs, argv) == (rc, out, err, written), argv

@@ -1,5 +1,6 @@
 import random
 
+from localprops import energy
 from localprops import (
     ColoredCompleteGraph,
     DetectorParams,
@@ -144,6 +145,21 @@ def test_bound_report_locate_path():
         mono, hit = r.located
         assert mono  # every vertex-color pair exceeds the a=1 cap
         assert hit is None  # a single color cannot form a b=2 tuple
+
+
+def test_bound_report_finds_mono_degree_violations_once(monkeypatch):
+    # two colors of multiplicity 128 and five of 64 on K_40 violate the
+    # rich bound at j = 6 and j = 7; both rows share one violation list
+    calls = []
+    find = energy.mono_degree_violations
+    monkeypatch.setattr(energy, "mono_degree_violations", lambda *a: calls.append(a) or find(*a))
+    colors = [0] * 128 + [1] * 128 + [c for c in range(2, 7) for _ in range(64)]
+    colors += range(7, 7 + edge_count(40) - len(colors))
+    rows = bound_report(ColoredCompleteGraph(40, tuple(colors)), DetectorParams(3, 2), locate=True)
+    located = [r for r in rows if r.located is not None]
+    assert [r.j for r in located] == [6, 7]
+    assert len(calls) == 1
+    assert located[0].located[0] == located[1].located[0] == tuple(find(*calls[0]))
 
 
 def test_min_support_column():

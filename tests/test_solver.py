@@ -153,6 +153,16 @@ def test_deadline_stops_the_search_itself():
     assert out.status == "exhausted" and out.certificate is None and out.nodes > 0
 
 
+def test_feasible_takes_its_deadline_from_the_budget():
+    # with no deadline passed, time_limit_s bounds the search; at 20M
+    # nodes the node limit alone would run for several seconds
+    t0 = time.monotonic()
+    out = feasible(10, LocalSpec(3, 3), 8, SolveBudget(node_limit=20_000_000, time_limit_s=0.1))
+    assert time.monotonic() - t0 < 1.0
+    assert out.status == "exhausted" and out.certificate is None
+    assert 0 < out.nodes < 20_000_001
+
+
 def test_feasible_takes_only_int_n_and_c():
     for n, c in ((4.0, 3), (5, 3.0), (5, True)):
         with pytest.raises(ValueError, match="integers"):
