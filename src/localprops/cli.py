@@ -151,10 +151,7 @@ def _cmd_construct(args):
         save_integer_set(args.artifact_out, out)
         fields = {"artifact": args.artifact_out, "size": len(out), "max_element": out[-1]}
     elif kind == "collinear-points":
-        a = load_integer_set(args.input)
-        if not a:
-            raise ValueError("input set is empty")
-        pts = collinear_point_set(a)
+        pts = collinear_point_set(load_integer_set(args.input))
         save_point_set(args.artifact_out, pts)
         fields = {"artifact": args.artifact_out, "size": len(pts)}
     else:  # estimate-probability

@@ -24,14 +24,15 @@ Before the scan comes a repeat budget, the exact local form of the
 color energy below.  The deficiency of a vertex set S, C(|S|,2) minus
 the number of colors it spans, counts for each color its edges in S
 beyond the first; a k-subset fails exactly when its deficiency exceeds
-t = C(k,2) - ell.  No subset's deficiency exceeds G's own,
-C(n,2) - num_colors, so when that is at most t every k-subset holds and
-the verifier answers in O(1) without scanning.  Conversely, when G's
-deficiency exceeds t and 4(t+1) <= k, some k-subset fails: t+1 surplus
-edges and one same-colored partner each span at most 2(t+1) edges on at
-most 4(t+1) vertices, and any k-subset containing those has deficiency
-above t.  _raw_holds decides a coloring given as raw ids by these two
-tests and scans only when neither applies.
+t = C(k,2) - ell, which LocalSpec holds as repeat_budget.  No subset's
+deficiency exceeds G's own, C(n,2) - num_colors, so when that is at most
+t every k-subset holds and the verifier answers in O(1) without
+scanning.  Conversely, when G's deficiency exceeds t and 4(t+1) <= k,
+some k-subset fails: t+1 surplus edges and one same-colored partner
+each span at most 2(t+1) edges on at most 4(t+1) vertices, and any
+k-subset containing those has deficiency above t.  _raw_holds decides a
+coloring given as raw ids by these two tests and scans only when
+neither applies.
 
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
@@ -157,15 +158,16 @@ class LocalSpec:
 
     k: int
     ell: int
+    repeat_budget: int = field(init=False, repr=False, compare=False)  # t = C(k,2) - ell
 
     def __post_init__(self) -> None:
         _require_ints((self.k, self.ell), "k and ell")
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if not 1 <= self.ell <= self.k * (self.k - 1) // 2:
-            raise ValueError(
-                f"ell must be in [1, C(k,2)] = [1, {self.k * (self.k - 1) // 2}]"
-            )
+        pairs = self.k * (self.k - 1) // 2
+        if not 1 <= self.ell <= pairs:
+            raise ValueError(f"ell must be in [1, C(k,2)] = [1, {pairs}]")
+        object.__setattr__(self, "repeat_budget", pairs - self.ell)
 
 
 @dataclass(frozen=True)
@@ -204,13 +206,13 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     state beyond the mask rows is O(k).
 
     First, if G's deficiency C(n,2) - num_colors is at most
-    t = C(k,2) - ell (the repeat budget of the module docstring), no
-    k-subset can fail, and the verdict is holds with no scan.
+    spec.repeat_budget, no k-subset can fail, and the verdict is holds
+    with no scan.
     """
     n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
         raise ValueError(f"k={k} exceeds vertex count n={n}: infeasible query")
-    if len(edge_colors) - G.num_colors <= k * (k - 1) // 2 - ell:
+    if len(edge_colors) - G.num_colors <= spec.repeat_budget:
         return PropertyVerdict(True)
     bit = [1 << c for c in range(G.num_colors)].__getitem__
     or_ = operator.or_
@@ -287,13 +289,13 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
 def _raw_holds(n: int, raw: list, spec: LocalSpec) -> bool:
     """verify_local_property(ColoredCompleteGraph.from_sparse(n, raw), spec).holds,
     for 2 <= k <= n, from the repeat count delta = len(raw) - len(set(raw))
-    when that decides it: holds if delta <= t, fails if delta > t and
-    4(t+1) <= k (the converse in the module docstring)."""
-    k = spec.k
-    t = k * (k - 1) // 2 - spec.ell
+    when that decides it: with t = spec.repeat_budget, holds if
+    delta <= t, fails if delta > t and 4(t+1) <= k (the converse in the
+    module docstring)."""
+    t = spec.repeat_budget
     if len(raw) - len(set(raw)) <= t:
         return True
-    if 4 * (t + 1) <= k:
+    if 4 * (t + 1) <= spec.k:
         return False
     return verify_local_property(ColoredCompleteGraph.from_sparse(n, raw), spec).holds
 

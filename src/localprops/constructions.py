@@ -106,12 +106,12 @@ def _draw(rng: random.Random, m: int, colors: int) -> list[int]:
 
 
 def color_budget(n: int, spec: LocalSpec) -> int:
-    """ceil(n^((k-2)/(C(k,2)-ell+1))), the random construction's color count."""
+    """ceil(n^((k-2)/(repeat_budget+1))), the random construction's color count."""
     _require_ints((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     p = spec.k - 2
-    q = spec.k * (spec.k - 1) // 2 - spec.ell + 1  # >= 1: LocalSpec has ell <= C(k,2)
+    q = spec.repeat_budget + 1  # >= 1: LocalSpec has ell <= C(k,2)
     target = n**p
     # smallest x with x^q >= n^p, by bisection on integers: (2^ceil(b/q))^q
     # >= 2^b > target, where b is target's bit length
@@ -206,7 +206,6 @@ def behrend_set(size_target: int) -> tuple[int, ...]:
             radius = counts.index(best)
             elems = _sphere_elements(dim, 2 * dim - 1, radius)
             return tuple(sorted(v + 1 for v in elems))
-    raise AssertionError("unreachable")
 
 
 def verify_no_3ap(values) -> tuple[int, int, int] | None:
@@ -236,7 +235,7 @@ def collinear_point_set(values) -> tuple[tuple[int, int], ...]:
     """Place each int a (as numbersets.integer_set takes them) on the x-axis as (a, 0), ascending."""
     elems = integer_set(values)
     if not elems:
-        raise ValueError("need a nonempty integer set")
+        raise ValueError("input set is empty")
     return tuple((a, 0) for a in elems)
 
 

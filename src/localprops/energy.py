@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .coloring import ColoredCompleteGraph, color_histogram
+from .coloring import ColoredCompleteGraph, _require_ints, color_histogram
 from .forbidden import (
     BudgetExceededError,
     DetectorParams,
@@ -62,13 +62,14 @@ def _dyadic_bins(hist: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def crossover_index(n: int, p: DetectorParams) -> int:
-    """Largest t with 2^(tb) <= 2 b^b a^(b+1) n^(b-1), computed exactly."""
+    """Largest t with 2^(tb) <= 2 b^b a^(b+1) n^(b-1), computed exactly:
+    t b <= floor(log2(rhs)), which is rhs.bit_length() - 1 for n >= 1."""
+    _require_ints((n,), "n")
+    if n < 1:
+        raise ValueError("n must be positive")
     a, b = p.a, p.b
     rhs = 2 * b**b * a ** (b + 1) * n ** (b - 1)
-    t = 0
-    while 1 << ((t + 1) * b) <= rhs:
-        t += 1
-    return t
+    return (rhs.bit_length() - 1) // b
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,10 @@ def bound_report(
     induced local property cannot hold.  With locate=True such rows get
     the mono-degree violations and (within the tuple budget, for
     2^j >= a) the least popular-color intersection attached.
+    tuple_budget must be an int or None, as for
+    popular_intersection_search.
     """
+    _require_ints(() if tuple_budget is None else (tuple_budget,), "tuple_budget")
     a, b = p.a, p.b
     n = G.n
     hist = color_histogram(G)

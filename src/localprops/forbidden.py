@@ -70,9 +70,10 @@ class DetectorParams:
         return self.b * self.a - self.b
 
     def induced_spec(self) -> LocalSpec:
-        """The (a(b+1), C(a(b+1),2)-ba+b+1) property these detectors serve."""
+        """The (a(b+1), C(a(b+1),2)-ba+b+1) property these detectors serve:
+        its repeat_budget is mono_degree_cap - 1."""
         kk = self.a * (self.b + 1)
-        return LocalSpec(kk, comb(kk, 2) - self.b * self.a + self.b + 1)
+        return LocalSpec(kk, comb(kk, 2) - self.mono_degree_cap + 1)
 
 
 @lru_cache(maxsize=32)
@@ -143,8 +144,10 @@ def popular_intersection_search(
     returned, so the result is the least one.  Supports are bitsets and
     each partial intersection exits early once its size drops below a.
     Raises BudgetExceededError when the number of b-tuples exceeds
-    tuple_budget (pass None to scan regardless).
+    tuple_budget (pass None to scan regardless).  j and tuple_budget
+    must be ints.
     """
+    _require_ints((j,) if tuple_budget is None else (j, tuple_budget), "j and tuple_budget")
     if j < 0:
         raise ValueError("j must be nonnegative")
     hist = color_histogram(G)

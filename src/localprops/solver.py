@@ -37,8 +37,8 @@ more pass.  The allowed mask is the set of colors the position's
 k-subsets do not forbid, which forward checking would build on.
 
 min_colors() walks c upward from the multiplicity lower bound, when one
-applies (if C(k,2)-ell+1 <= floor(k/2)-1, every color is capped at
-C(k,2)-ell+1 repeats, so at least ceil(C(n,2)/cap) colors are needed),
+applies (with cap = repeat_budget + 1 <= floor(k/2)-1, every color is
+capped at cap repeats, so at least ceil(C(n,2)/cap) colors are needed),
 and from 1 otherwise.  It builds the slot table once per solve and hands
 it to every level.  Because colors branch in ascending order, the first
 coloring found at the optimal level is the lexicographically least one
@@ -51,7 +51,6 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count, edge_index
 
@@ -114,16 +113,15 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     prev is the slot holding it before, and need = ell - open.  At the
     subset's first step (i = min U) prev is U's base slot; at its last
     step (i = max U) nothing reads the mask again, so slot is the shared
-    sink 0.  fills[p] holds (base slot, positions of the edges inside U)
-    for every U with max(U) + 1 == j, filled when position p = (0, j) is
-    entered.  Within checks[p] the subsets completing at p come first:
-    they are the likeliest to reject colors, so the pass that builds a
-    position's allowed mask reaches an empty mask, and stops, soonest.
-    Returns None once deadline passes (checked once per assignment
-    position).
+    sink 0.  fills[p] holds (base slot, positions b(b-1)/2 + a of the
+    edges (a, b) inside U) for every U with max(U) + 1 == j, filled when
+    position p = (0, j) is entered.  Within checks[p] the subsets
+    completing at p come first: they are the likeliest to reject colors,
+    so the pass that builds a position's allowed mask reaches an empty
+    mask, and stops, soonest.  Returns None once deadline passes
+    (checked once per assignment position).
     """
     order = _assignment_order(n)
-    pos_of = {e: p for p, e in enumerate(order)}
     fills: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
     checks: list[list[tuple[int, int, int]]] = [[] for _ in order]
     base: dict[tuple[int, ...], int] = {}
@@ -138,7 +136,7 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
             for rest in combinations(range(j - 1), k - 2):
                 u_set = rest + (j - 1,)
                 base[u_set] = slots
-                fills[p].append((slots, tuple(pos_of[e] for e in combinations(u_set, 2))))
+                fills[p].append((slots, tuple(b * (b - 1) // 2 + a for a, b in combinations(u_set, 2))))
                 slots += 1
         # subsets completing at this edge first: they prune the most
         for step in range(k - 2, -1, -1):
@@ -160,24 +158,24 @@ def feasible(
     spec: LocalSpec,
     c: int,
     budget: SolveBudget | None = None,
-    deadline: float | None = None,
     *,
+    _deadline: float | None = None,
     _table: _Table | None = None,
 ) -> FeasibleOutcome:
     """Is there a coloring of K_n with at most c colors satisfying spec?
 
     Returns the lexicographically least satisfying assignment (in
     assignment order) as a certificate, re-encoded in the row-major
-    edge index.  The deadline (by default budget.time_limit_s from now)
-    also bounds building the slot table; min_colors passes its one
-    deadline, and one table built for this (n, spec), to every level.
-    The search is one loop over per-position state (the color assigned,
-    the highest color a branch may take and the allowed-color mask), so
-    its depth, C(n,2), has no limit.  Each color a visit passes over or
-    takes counts as one node, as if tried in turn: a budget of N nodes
-    stops on the same node, with nodes = N + 1, as a color-by-color
-    search would.  The deadline is checked each time the node count
-    crosses a multiple of 1024.
+    edge index.  The deadline, budget.time_limit_s from now, also bounds
+    building the slot table.  Only min_colors passes the private
+    _deadline (its one solve-wide deadline) and _table (one table built
+    for this (n, spec)), to every level.  The search is one loop over
+    per-position state (the color assigned, the highest color a branch
+    may take and the allowed-color mask), so its depth, C(n,2), has no
+    limit.  Each color a visit passes over or takes counts as one node,
+    as if tried in turn: a budget of N nodes stops on the same node, with
+    nodes = N + 1, as a color-by-color search would.  The deadline is
+    checked each time the node count crosses a multiple of 1024.
     """
     _require_ints((n, c), "n and c")
     if spec.k > n:
@@ -187,10 +185,10 @@ def feasible(
     if c < spec.ell:
         # some k-subset exists (k <= n) and sees at most c < ell colors
         return FeasibleOutcome("no", None, 0)
-    if deadline is None and budget and budget.time_limit_s is not None:
-        deadline = time.monotonic() + budget.time_limit_s
+    if _deadline is None and budget and budget.time_limit_s is not None:
+        _deadline = time.monotonic() + budget.time_limit_s
     if _table is None:
-        _table = _subset_checks(n, spec.k, spec.ell, deadline)
+        _table = _subset_checks(n, spec.k, spec.ell, _deadline)
         if _table is None:
             return FeasibleOutcome("exhausted", None, 0)
     fills, checks, slots = _table
@@ -231,7 +229,7 @@ def feasible(
             nodes += top + 1 - col
         if node_limit is not None and nodes > node_limit:
             return FeasibleOutcome("exhausted", None, node_limit + 1)
-        if deadline is not None and nodes >> 10 != start >> 10 and time.monotonic() > deadline:
+        if _deadline is not None and nodes >> 10 != start >> 10 and time.monotonic() > _deadline:
             return FeasibleOutcome("exhausted", None, nodes)
         if rest:
             for slot, prev, _ in checks[pos]:
@@ -255,12 +253,12 @@ def feasible(
 def _start_level(n: int, spec: LocalSpec) -> int:
     """Multiplicity lower bound on the color count, when one applies.
 
-    If C(k,2)-ell+1 <= floor(k/2)-1, then a color repeated more than
-    C(k,2)-ell+1 times yields a k-subset below ell colors (any such
-    repeats fit inside k vertices), so ceil(C(n,2)/cap) colors are
+    If cap = spec.repeat_budget + 1 <= floor(k/2)-1, then a color
+    repeated more than cap times yields a k-subset below ell colors (any
+    such repeats fit inside k vertices), so ceil(C(n,2)/cap) colors are
     needed; otherwise start at 1.
     """
-    cap = comb(spec.k, 2) - spec.ell + 1
+    cap = spec.repeat_budget + 1
     if cap <= spec.k // 2 - 1:
         return -(-edge_count(n) // cap)
     return 1
@@ -291,7 +289,7 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
             if table is None:
                 log.append((c, 0, "exhausted"))
                 break
-        out = feasible(n, spec, c, budget, deadline, _table=table)
+        out = feasible(n, spec, c, budget, _deadline=deadline, _table=table)
         log.append((c, out.nodes, out.status))
         if out.status == "yes":
             status = "optimal" if contiguous else "bound-only"

@@ -301,6 +301,11 @@ def test_solve_g_infeasible_and_budget():
     assert json.loads(proc.stdout)["status"] == "budget-exhausted"
 
 
+def test_solve_g_unsatisfiable(capsys):
+    assert cli.main(["solve-g", "--n", "4", "--k", "3", "--ell", "4", "--range-cap", "10"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "unsatisfiable"
+
+
 def test_energy_json_and_csv(tmp_path):
     f = tmp_path / "g.json"
     write_coloring(f, 4, [0, 0, 0, 1, 1, 2])
@@ -333,6 +338,25 @@ def test_profile_param_validation(tmp_path):
     f = tmp_path / "g.json"
     write_coloring(f, 3, [0, 1, 2])
     assert run_cli("profile", "--input", str(f), "--k", "2", "--m", "2").returncode == 2
+
+
+def test_profile_locates_popular_intersections(tmp_path, capsys):
+    # K_40 colored row-major 200 x 0, 200 x 1, 64 each of 2..6, then one
+    # new color per edge: rows j = 6 and 7 violate the rich bound
+    colors = [0] * 200 + [1] * 200 + [c for c in range(2, 7) for _ in range(64)]
+    write_coloring(tmp_path / "k40.json", 40, colors + list(range(7, 7 + 780 - len(colors))))
+    argv = ["profile", "--input", str(tmp_path / "k40.json"), "--k", "3", "--m", "2", "--locate"]
+    for extra, hit, pin in (
+        ([], {"colors": [0, 1], "vertices": list(range(5, 40))},
+         "4eeb0dda7fb5a4fe2db56cdcb3ce9387068edfc0c4903d47e28ced2786f6edcc"),
+        (["--tuple-budget", "0"], "budget-exceeded",
+         "0b94c740d7b49a6e0cbce18ded857ab413538be87fb4bab0de5bf4b7dd88a5c7"),
+    ):
+        assert cli.main(argv + extra) == 0
+        out = capsys.readouterr().out
+        located = [(r["j"], r["located"]["popular_intersection"]) for r in json.loads(out)["rows"] if "located" in r]
+        assert located == [(6, hit), (7, hit)]
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 def test_lemma_check(tmp_path):

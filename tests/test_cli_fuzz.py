@@ -147,7 +147,8 @@ def command_lines(draw):
         elif flag == "--time-limit":
             argv += [flag, draw(WRONG if wrong else TIME_LIMITS[bad])]
         elif flag == "--ell" and not bad and drawn.get("--k") in range(2, 10):
-            argv += [flag, str(draw(st.integers(1, comb(drawn["--k"], 2))))]
+            # up to one past C(k,2), so that solve-f and solve-g can be unsatisfiable
+            argv += [flag, str(draw(st.integers(1, comb(drawn["--k"], 2) + 1)))]
         elif flag in INT_VALUES:
             value = draw(WRONG if wrong else INT_VALUES[flag][bad])
             drawn[flag] = value

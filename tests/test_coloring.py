@@ -239,6 +239,15 @@ def test_local_spec_takes_only_ints():
             LocalSpec(k, ell)
 
 
+def test_local_spec_holds_its_repeat_budget():
+    for k in range(2, 9):
+        for ell in range(1, comb(k, 2) + 1):
+            spec = LocalSpec(k, ell)
+            assert spec.repeat_budget == comb(k, 2) - ell
+            # derived, so it takes no part in construction, equality or repr
+            assert spec == LocalSpec(k, ell) and repr(spec) == f"LocalSpec(k={k}, ell={ell})"
+
+
 def test_colored_complete_graph_takes_only_int_n():
     for n, colors in ((3.0, (0, 1, 2)), (True, ()), ("3", (0, 1, 2))):
         with pytest.raises(ValueError, match="integers"):

@@ -275,7 +275,8 @@ def test_color_budget_huge_n_is_exact():
 
 
 def test_color_budget_denominator_guard():
-    bogus = SimpleNamespace(k=4, ell=8)  # ell beyond C(4,2): denominator <= 0
+    # ell beyond C(4,2), so repeat_budget = C(4,2) - ell < 0: denominator <= 0
+    bogus = SimpleNamespace(k=4, ell=8, repeat_budget=-2)
     with pytest.raises(ValueError):
         color_budget(10, bogus)
 

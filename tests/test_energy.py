@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from localprops import energy
 from localprops import (
     ColoredCompleteGraph,
@@ -72,14 +74,26 @@ def test_crossover_index_exact():
     # a=2, b=2, n=4: threshold value is 2*(2*8*4)^(1/2) = 16 exactly
     assert crossover_index(4, P62) == 4
     rng = random.Random(11)
+    cases = []
     for _ in range(200):
         m = rng.randint(2, 4)
         k = rng.randint(m + 1, 14)
-        p = DetectorParams(k, m)
-        n = rng.randint(1, 40)
+        cases.append((rng.randint(1, 40), DetectorParams(k, m)))
+    # and every n below 200 for five fixed pairs
+    cases += [(n, DetectorParams(k, m)) for k, m in ((6, 2), (9, 2), (16, 3), (14, 4), (40, 5)) for n in range(1, 200)]
+    for n, p in cases:
         t = crossover_index(n, p)
         rhs = 2 * p.b**p.b * p.a ** (p.b + 1) * n ** (p.b - 1)
         assert (1 << (t * p.b)) <= rhs < (1 << ((t + 1) * p.b))
+
+
+def test_crossover_index_takes_only_a_positive_int_n():
+    for n in (6.0, True, "6"):
+        with pytest.raises(ValueError, match="integers"):
+            crossover_index(n, P62)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            crossover_index(n, P62)
 
 
 def test_energy_decomposition_examples():
@@ -147,19 +161,36 @@ def test_bound_report_locate_path():
         assert hit is None  # a single color cannot form a b=2 tuple
 
 
+def _k40_two_popular_colors():
+    """Two colors of multiplicity 128 and five of 64 on K_40, the rest
+    distinct: at DetectorParams(3, 2) rows j = 6 and 7 break the rich bound."""
+    colors = [0] * 128 + [1] * 128 + [c for c in range(2, 7) for _ in range(64)]
+    colors += range(7, 7 + edge_count(40) - len(colors))
+    return ColoredCompleteGraph(40, tuple(colors))
+
+
 def test_bound_report_finds_mono_degree_violations_once(monkeypatch):
-    # two colors of multiplicity 128 and five of 64 on K_40 violate the
-    # rich bound at j = 6 and j = 7; both rows share one violation list
+    # both violating rows share one violation list
     calls = []
     find = energy.mono_degree_violations
     monkeypatch.setattr(energy, "mono_degree_violations", lambda *a: calls.append(a) or find(*a))
-    colors = [0] * 128 + [1] * 128 + [c for c in range(2, 7) for _ in range(64)]
-    colors += range(7, 7 + edge_count(40) - len(colors))
-    rows = bound_report(ColoredCompleteGraph(40, tuple(colors)), DetectorParams(3, 2), locate=True)
+    rows = bound_report(_k40_two_popular_colors(), DetectorParams(3, 2), locate=True)
     located = [r for r in rows if r.located is not None]
     assert [r.j for r in located] == [6, 7]
     assert len(calls) == 1
     assert located[0].located[0] == located[1].located[0] == tuple(find(*calls[0]))
+
+
+def test_bound_report_takes_only_an_int_tuple_budget():
+    for budget in (2.5, True):
+        for locate in (False, True):
+            with pytest.raises(ValueError, match="integers"):
+                bound_report(rainbow(6), P62, locate, budget)
+    # None scans regardless; a negative budget is an int that no tuple fits
+    for budget, hit in ((None, (0, 1)), (-1, "budget-exceeded")):
+        rows = bound_report(_k40_two_popular_colors(), DetectorParams(3, 2), locate=True, tuple_budget=budget)
+        hits = [r.located[1] for r in rows if r.located is not None]
+        assert [getattr(h, "colors", h) for h in hits] == [hit, hit]
 
 
 def test_min_support_column():

@@ -50,6 +50,17 @@ def test_detector_params():
         DetectorParams(5, 1)
 
 
+def test_induced_spec_repeat_budget_is_the_mono_degree_cap_less_one():
+    for k in range(3, 40):
+        for m in range(2, k):
+            p = DetectorParams(k, m)
+            if p.a >= 2:
+                assert p.induced_spec().repeat_budget == p.mono_degree_cap - 1
+            else:  # a = 1: ell would exceed C(b+1, 2)
+                with pytest.raises(ValueError):
+                    p.induced_spec()
+
+
 def test_detector_params_take_only_ints():
     # floats would reach bound_report's exact thresholds as a = 2.0
     for k, m in ((6.0, 2), (7, 2.0), (True, 2), (6, "2")):
@@ -161,6 +172,17 @@ def test_popular_intersection_budget():
     with pytest.raises(BudgetExceededError):
         popular_intersection_search(g, 0, p, tuple_budget=100)
     assert popular_intersection_search(g, 0, p, tuple_budget=None) is None
+
+
+def test_popular_intersection_search_takes_only_ints():
+    g, p = rainbow(6), DetectorParams(6, 2)
+    for j, budget in ((1.0, None), (True, None), ("1", 10), (0, 2.5), (0, True)):
+        with pytest.raises(ValueError, match="integers"):
+            popular_intersection_search(g, j, p, budget)
+    assert popular_intersection_search(g, 0, p, None) is None
+    # a negative budget is an int: no tuple fits in it
+    with pytest.raises(BudgetExceededError):
+        popular_intersection_search(g, 0, p, -1)
 
 
 def test_popular_search_matches_unpruned_scan():

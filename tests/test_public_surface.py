@@ -4,7 +4,8 @@ Every name a module lists in __all__ is referenced in code by another
 module of the package (the CLI included) or by the benchmark harness
 under perfbench/, or it is kept on purpose, with its reason in KEEP.  A
 result type counts as used through the public function that returns it.
-The package re-exports exactly the library modules' __all__ names.
+The package re-exports exactly the library modules' __all__ names, by
+one star import per module, so each __all__ is the only list of them.
 """
 
 import ast
@@ -67,6 +68,15 @@ def test_package_reexports_exactly_the_library_names():
     for module in LIBRARY:
         declared.update(importlib.import_module(f"localprops.{module}").__all__)
     assert exported == declared
+
+
+def test_init_takes_every_library_name_from_its_all():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    imports = [(n.module, [a.name for a in n.names]) for n in body if isinstance(n, ast.ImportFrom)]
+    assert imports == [(module, ["*"]) for module in LIBRARY]
+    # beyond the docstring and those imports, only __version__ is set
+    rest = [n for n in body if not isinstance(n, (ast.ImportFrom, ast.Expr))]
+    assert [ast.unparse(t) for n in rest for t in n.targets] == ["__version__"]
 
 
 @pytest.mark.parametrize("module", [*LIBRARY, "io"])

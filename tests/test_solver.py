@@ -1,4 +1,5 @@
 import gc
+import inspect
 import time
 from functools import lru_cache
 from itertools import product
@@ -148,19 +149,25 @@ def test_deadline_stops_the_search_itself():
     # the table builds well inside the deadline; the search (25M+ nodes
     # unbounded) must notice it passing
     t0 = time.monotonic()
-    out = feasible(10, LocalSpec(3, 3), 8, deadline=t0 + 0.1)
+    out = feasible(10, LocalSpec(3, 3), 8, SolveBudget(time_limit_s=0.1))
     assert time.monotonic() - t0 < 1.0
     assert out.status == "exhausted" and out.certificate is None and out.nodes > 0
 
 
 def test_feasible_takes_its_deadline_from_the_budget():
-    # with no deadline passed, time_limit_s bounds the search; at 20M
-    # nodes the node limit alone would run for several seconds
+    # time_limit_s bounds the search beside a node limit; at 20M nodes
+    # the node limit alone would run for several seconds
     t0 = time.monotonic()
     out = feasible(10, LocalSpec(3, 3), 8, SolveBudget(node_limit=20_000_000, time_limit_s=0.1))
     assert time.monotonic() - t0 < 1.0
     assert out.status == "exhausted" and out.certificate is None
     assert 0 < out.nodes < 20_000_001
+
+
+def test_feasible_takes_its_time_limit_only_from_the_budget():
+    params = inspect.signature(feasible).parameters
+    assert [name for name in params if not name.startswith("_")] == ["n", "spec", "c", "budget"]
+    assert all(p.kind is p.KEYWORD_ONLY for name, p in params.items() if name.startswith("_"))
 
 
 def test_feasible_takes_only_int_n_and_c():
@@ -228,7 +235,7 @@ def test_time_budget_covers_preprocessing():
     # the first search node, in min_colors and in a direct feasible call
     res = min_colors(22, LocalSpec(6, 12), SolveBudget(time_limit_s=0.02))
     assert res.log[-1] == (12, 0, "exhausted")
-    out = feasible(22, LocalSpec(6, 12), 12, deadline=time.monotonic() + 0.02)
+    out = feasible(22, LocalSpec(6, 12), 12, SolveBudget(time_limit_s=0.02))
     assert (out.status, out.nodes) == ("exhausted", 0)
 
 
