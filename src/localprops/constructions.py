@@ -111,7 +111,9 @@ def color_budget(n: int, spec: LocalSpec) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     p = spec.k - 2
-    q = spec.repeat_budget + 1  # >= 1: LocalSpec has ell <= C(k,2)
+    q = spec.repeat_budget + 1  # >= 1 for every LocalSpec, which has ell <= C(k,2)
+    if q < 1:
+        raise ValueError(f"repeat_budget + 1 must be positive, got {q}")
     target = n**p
     # smallest x with x^q >= n^p, by bisection on integers: (2^ceil(b/q))^q
     # >= 2^b > target, where b is target's bit length

@@ -12,29 +12,34 @@ the pruned search is verdict-identical to an unpruned scan.
 
 The search state is one int bitmask of colors per k-subset and step,
 held in a flat list of slots.  A k-subset {j} | U (j its largest vertex)
-is checked at each edge (u, j), u in U; that check ORs the new color's
-bit into the mask its previous step left in another slot and compares
-the mask's popcount (int.bit_count, Python >= 3.10) with ell minus the
-subset's open edges.  Before the first such step the mask holds the
-colors of the C(k-1,2) edges inside U, filled into a base slot when the
-search enters vertex max(U)+1.  Nothing is undone on backtrack: a check
-reads only slots written earlier on the current path, and re-entering a
-position rewrites them.
+is checked at each edge (u, j), u in U: a read takes the mask its
+previous step left in a slot and compares its popcount (int.bit_count,
+Python >= 3.10) with ell minus the subset's open edges; unless the edge
+is the subset's last, a grow ORs the color taken there into that mask
+and stores it in the slot the next step reads.  Before the first step
+the mask holds the colors of the C(k-1,2) edges inside U, filled into a
+base slot when the search enters vertex max(U)+1 by ORing those edges'
+entries in a per-position list of color bits.  Every slot is written at
+one position and read later (a base slot once in each column from its
+fill on), and nothing is undone on backtrack: a read sees only slots
+written earlier on the current path, and re-entering a position
+rewrites them.
 
 A color's bit either adds one to a mask's popcount or is already in it,
-so a check with prev mask s and bound need rejects every color when
+so a read with mask s and bound need rejects every color when
 need - popcount(s) >= 2, only the colors in s when it is 1, and none
 otherwise.  On entering a position the search therefore makes one pass
-over its checks and keeps the colors none rejects as that position's
+over its reads and keeps the colors none rejects as that position's
 allowed mask; the mask stays valid until the position is re-entered,
 because only earlier positions write the slots it reads.  Each visit
-takes the lowest allowed color at or above the next one to try and
-counts one node for it and one for each color it skipped, exactly the
-colors a color-by-color walk would have tried and rejected, so node
-counts, budget cut-offs and certificates are the same as trying each
-color in turn; descending then writes every check's grown mask in one
-more pass.  The allowed mask is the set of colors the position's
-k-subsets do not forbid, which forward checking would build on.
+takes the lowest allowed color above the one taken last and counts one
+node for it and one for each color it skipped, exactly the colors a
+color-by-color walk would have tried and rejected, so node counts,
+budget cut-offs and certificates are the same as trying each color in
+turn; descending then runs the position's grows and keeps the allowed
+colors above the one taken for the next visit.  The allowed mask is the
+set of colors the position's k-subsets do not forbid, which forward
+checking would build on.
 
 min_colors() walks c upward from the multiplicity lower bound, when one
 applies (with cap = repeat_budget + 1 <= floor(k/2)-1, every color is
@@ -100,33 +105,42 @@ def _assignment_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-_Table = tuple[list[list[tuple[int, tuple[int, ...]]]], list[list[tuple[int, int, int]]], int]
+_Table = tuple[
+    list[list[tuple[int, tuple[int, ...]]]],  # fills[p]: (base slot, positions of U's edges)
+    list[list[tuple[int, int]]],  # reads[p]: (prev slot, need)
+    list[list[tuple[int, int]]],  # grows[p]: (slot, prev slot)
+    int,  # slot count
+]
 
 
 def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table | None:
-    """Slot table for the DFS: (fills, checks, slot count).
+    """Slot table for the DFS: (fills, reads, grows, slot count).
 
     Assigning edge (i, j) changes the k-subsets {j} | U with U a
     (k-1)-subset of {0..j-1} containing i; #{u in U : u > i} of their
-    edges are still open.  checks[p] holds one (slot, prev, need) per
-    such subset: the subset's color mask after this edge goes into slot,
-    prev is the slot holding it before, and need = ell - open.  At the
-    subset's first step (i = min U) prev is U's base slot; at its last
-    step (i = max U) nothing reads the mask again, so slot is the shared
-    sink 0.  fills[p] holds (base slot, positions b(b-1)/2 + a of the
-    edges (a, b) inside U) for every U with max(U) + 1 == j, filled when
-    position p = (0, j) is entered.  Within checks[p] the subsets
-    completing at p come first: they are the likeliest to reject colors,
-    so the pass that builds a position's allowed mask reaches an empty
-    mask, and stops, soonest.  Returns None once deadline passes
-    (checked once per assignment position).
+    edges are still open.  reads[p] holds one (prev, need) per such
+    subset: prev is the slot holding the subset's color mask before this
+    edge (U's base slot at its first step, i = min U) and need = ell -
+    open.  grows[p] holds (slot, prev) for each of those subsets with an
+    open edge left: the mask after this edge goes into slot, which the
+    subset's next step reads.  A subset completing at p (i = max U) has
+    no grow, since nothing reads its mask again, so no slot is written
+    that nothing reads.  fills[p] holds (base slot, positions
+    b(b-1)/2 + a of the edges (a, b) inside U) for every U with
+    max(U) + 1 == j, filled when position p = (0, j) is entered; the
+    first step of {j'} | U reads it in every column j' >= j.
+    Within reads[p] the subsets completing at p come first: they are the
+    likeliest to reject colors, so the pass that builds a position's
+    allowed mask reaches an empty mask, and stops, soonest.  Returns None
+    once deadline passes (checked once per assignment position).
     """
     order = _assignment_order(n)
     fills: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    reads: list[list[tuple[int, int]]] = [[] for _ in order]
+    grows: list[list[tuple[int, int]]] = [[] for _ in order]
     base: dict[tuple[int, ...], int] = {}
     latest: dict[tuple[int, ...], int] = {}  # slot of U's latest step at this j
-    slots = 1  # slot 0 is the sink
+    slots = 0
     for p, (i, j) in enumerate(order):
         if deadline is not None and time.monotonic() > deadline:
             return None
@@ -140,17 +154,18 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
                 slots += 1
         # subsets completing at this edge first: they prune the most
         for step in range(k - 2, -1, -1):
+            need = ell - (k - 2 - step)  # k - 2 - step edges of {j} | U still open
             for left in combinations(range(i), step):
+                head = left + (i,)
                 for right in combinations(range(i + 1, j), k - 2 - step):
-                    u_set = left + (i,) + right
+                    u_set = head + right
                     prev = base[u_set] if step == 0 else latest.pop(u_set)
+                    reads[p].append((prev, need))
                     if right:
-                        latest[u_set] = slot = slots
+                        latest[u_set] = slots
+                        grows[p].append((slots, prev))
                         slots += 1
-                    else:
-                        slot = 0
-                    checks[p].append((slot, prev, ell - len(right)))
-    return fills, checks, slots
+    return fills, reads, grows, slots
 
 
 def feasible(
@@ -170,12 +185,13 @@ def feasible(
     building the slot table.  Only min_colors passes the private
     _deadline (its one solve-wide deadline) and _table (one table built
     for this (n, spec)), to every level.  The search is one loop over
-    per-position state (the color assigned, the highest color a branch
-    may take and the allowed-color mask), so its depth, C(n,2), has no
-    limit.  Each color a visit passes over or takes counts as one node,
-    as if tried in turn: a budget of N nodes stops on the same node, with
-    nodes = N + 1, as a color-by-color search would.  The deadline is
-    checked each time the node count crosses a multiple of 1024.
+    per-position state (the color assigned and its bit, the highest
+    color a branch may take and the allowed colors not yet taken), so
+    its depth, C(n,2), has no limit.  Each color a visit passes over or
+    takes counts as one node, as if tried in turn: a budget of N nodes
+    stops on the same node, with nodes = N + 1, as a color-by-color
+    search would.  The deadline is checked each time the node count
+    crosses a multiple of 1024.
     """
     _require_ints((n, c), "n and c")
     if spec.k > n:
@@ -191,57 +207,59 @@ def feasible(
         _table = _subset_checks(n, spec.k, spec.ell, _deadline)
         if _table is None:
             return FeasibleOutcome("exhausted", None, 0)
-    fills, checks, slots = _table
+    fills, reads, grows, slots = _table
     order = _assignment_order(n)
     m = len(order)
     cols = [-1] * m
+    bits = [0] * m  # per position: 1 << cols[pos], what base fills OR together
     tops = [0] * (m + 1)  # per position: the highest color its branches may take
-    allowed = [0] * m  # per position: the colors no check there rejects
+    allowed = [0] * m  # per position: the colors above cols[pos] no read there rejects
     state = [0] * slots
     node_limit = budget.node_limit if budget else None
     nodes = 0
-    pos, col = 0, 0  # the position and the next color to try there
+    pos, last = 0, -1  # the position and the color last taken there (-1: none yet)
     while 0 <= pos < m:
         top = tops[pos]
-        if col == 0:  # entering pos: fill the base slots it opens, then its mask
+        if last < 0:  # entering pos: fill the base slots it opens, then read its mask
             for slot, edges in fills[pos]:
                 mask = 0
                 for q in edges:
-                    mask |= 1 << cols[q]
+                    mask |= bits[q]
                 state[slot] = mask
-            mask = (2 << top) - 1
-            for _, prev, need in checks[pos]:
+            rest = (2 << top) - 1
+            for prev, need in reads[pos]:
                 seen = state[prev]
-                short = need - seen.bit_count()
-                if short > 0:
+                if seen.bit_count() < need:
                     # one missing color: only colors seen already fail
-                    mask = mask & ~seen if short == 1 else 0
-                    if not mask:
+                    rest = rest & ~seen if seen.bit_count() + 1 == need else 0
+                    if not rest:
                         break
-            allowed[pos] = mask
-        rest = allowed[pos] >> col << col
+        else:
+            rest = allowed[pos]
         start = nodes
         if rest:
             bit = rest & -rest
             nxt = bit.bit_length() - 1
-            nodes += nxt - col + 1  # the colors skipped and the one taken
         else:
-            nodes += top + 1 - col
+            nxt = top  # every color left is passed over
+        nodes += nxt - last  # one per color passed over or taken
         if node_limit is not None and nodes > node_limit:
             return FeasibleOutcome("exhausted", None, node_limit + 1)
         if _deadline is not None and nodes >> 10 != start >> 10 and time.monotonic() > _deadline:
             return FeasibleOutcome("exhausted", None, nodes)
         if rest:
-            for slot, prev, _ in checks[pos]:
+            for slot, prev in grows[pos]:
                 state[slot] = state[prev] | bit
+            allowed[pos] = rest ^ bit
             cols[pos] = nxt
+            bits[pos] = bit
             pos += 1
             # first use: taking the top color lets the next position open one more
             tops[pos] = top + 1 if nxt == top < c - 1 else top
-            col = 0
+            last = -1
         else:
             pos -= 1
-            col = cols[pos] + 1
+            last = cols[pos]
     if pos < m:
         return FeasibleOutcome("no", None, nodes)
     row_major = [0] * m

@@ -275,10 +275,12 @@ def test_color_budget_huge_n_is_exact():
 
 
 def test_color_budget_denominator_guard():
-    # ell beyond C(4,2), so repeat_budget = C(4,2) - ell < 0: denominator <= 0
-    bogus = SimpleNamespace(k=4, ell=8, repeat_budget=-2)
-    with pytest.raises(ValueError):
-        color_budget(10, bogus)
+    # ell beyond C(4,2), so repeat_budget = C(4,2) - ell < 0 and the
+    # exponent's denominator repeat_budget + 1 is not positive
+    for ell in (8, 7):
+        bogus = SimpleNamespace(k=4, ell=ell, repeat_budget=comb(4, 2) - ell)
+        with pytest.raises(ValueError, match="repeat_budget \\+ 1 must be positive"):
+            color_budget(10, bogus)
 
 
 def test_estimate_probability_trivial_cases():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localprops.solver as solver_module
 from localprops import (
     ColoredCompleteGraph,
     FeasibleOutcome,
@@ -19,6 +20,7 @@ from localprops import (
     min_colors,
     verify_local_property,
 )
+from localprops.solver import _subset_checks
 from oracles import brute_min_colors_table, brute_verdict, reference_feasible
 
 oracle_table = lru_cache(brute_min_colors_table)  # n=5 scans ~116k partitions
@@ -131,6 +133,95 @@ def test_feasible_matches_reference_dfs_on_the_f_table_levels():
                     levels += 1
                     nodes += count
     assert (levels, nodes) == (457, 1_491_289)
+
+
+def test_feasible_matches_reference_dfs_past_n_9():
+    # every level min_colors visits for the wide benchmark's budgeted
+    # (12,5,7) solve, and for a few n = 10-11 specs at 2,000 nodes a level
+    for n, k, ell, limit in (
+        (12, 5, 7, 200),
+        (10, 3, 3, 2000),
+        (10, 4, 5, 2000),
+        (10, 5, 9, 2000),
+        (11, 4, 4, 2000),
+        (11, 5, 7, 2000),
+    ):
+        budget = SolveBudget(node_limit=limit)
+        for c, count, status in min_colors(n, LocalSpec(k, ell), budget).log:
+            want = reference_feasible(n, k, ell, c, limit)
+            assert (want.nodes, want.status) == (count, status), (n, k, ell, c)
+            assert feasible(n, LocalSpec(k, ell), c, budget) == want, (n, k, ell, c)
+
+
+def test_subset_table_writes_each_slot_once_and_reads_every_slot():
+    # fills and grows write every slot exactly once.  A grown slot is read
+    # once, later in the same column; U's base slot, filled on entering
+    # column max(U)+1, once in that column and in each later one.  So no
+    # write goes to a slot nothing reads.
+    for n in range(3, 10):
+        order = [(i, j) for j in range(1, n) for i in range(j)]
+        for k in range(3, min(n, 5) + 1):
+            ell = comb(k, 2)
+            fills, reads, grows, slots = _subset_checks(n, k, ell)
+            written = {}  # slot -> (position, kind)
+            for p, (i, j) in enumerate(order):
+                assert len(fills[p]) == (comb(j - 1, k - 2) if i == 0 else 0), (n, k, p)
+                for slot, edges in fills[p]:
+                    assert len(edges) == comb(k - 1, 2) and max(edges, default=-1) < p
+                    assert slot not in written
+                    written[slot] = p, "fill"
+                for slot, _ in grows[p]:
+                    assert slot not in written
+                    written[slot] = p, "grow"
+            assert sorted(written) == list(range(slots)), (n, k)
+            readers = {slot: [] for slot in range(slots)}
+            for p, (i, j) in enumerate(order):
+                assert len(reads[p]) == comb(j - 1, k - 2), (n, k, p)
+                # the subsets completing here (max U = i) come first
+                completing = comb(i, k - 2)
+                needs = [need for _, need in reads[p]]
+                assert needs[:completing] == [ell] * completing, (n, k, p)
+                assert ell not in needs[completing:], (n, k, p)
+                # the rest grow, each from the slot it reads
+                assert [prev for _, prev in grows[p]] == [prev for prev, _ in reads[p][completing:]]
+                for prev, _ in reads[p]:
+                    readers[prev].append(p)
+            for slot, (p, kind) in written.items():
+                j = order[p][1]
+                if kind == "grow":
+                    assert len(readers[slot]) == 1, (n, k, slot)
+                    assert readers[slot][0] > p and order[readers[slot][0]][1] == j, (n, k, slot)
+                else:
+                    assert [order[q][1] for q in readers[slot]] == list(range(j, n)), (n, k, slot)
+
+
+def test_min_colors_calls_feasible_by_its_module_name(monkeypatch):
+    # the benchmark traces solver.feasible by rebinding the module's name,
+    # which a local alias in min_colors would silently bypass; the table
+    # is built once per solve and handed to every level that searches
+    calls, tables = [], []
+    search, build = solver_module.feasible, solver_module._subset_checks
+
+    def traced(n, spec, c, budget=None, **private):
+        calls.append((c, private["_table"]))
+        return search(n, spec, c, budget, **private)
+
+    def built(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(solver_module, "feasible", traced)
+    monkeypatch.setattr(solver_module, "_subset_checks", built)
+    for n, spec, budget in (
+        (7, LocalSpec(4, 5), None),
+        (9, LocalSpec(5, 9), SolveBudget(node_limit=200)),
+    ):
+        calls.clear()
+        tables.clear()
+        res = min_colors(n, spec, budget)
+        assert [c for c, _ in calls] == [c for c, _, _ in res.log]
+        assert len(tables) == 1
+        assert all(t is (None if c < spec.ell else tables[0]) for c, t in calls)
 
 
 def test_node_limit_boundary_is_exact():
