@@ -7,17 +7,20 @@ tolerance question.  Distances are compared as squared integers for the
 same reason; for distinct points, distinct squared distances and
 distinct distances are the same thing.
 
-The two reductions build a complete graph whose vertices are the set
-elements (in ascending order) or the points (in input order), with one
-color per distinct positive difference or squared distance.  Local
-difference/distance properties of the set then coincide exactly with
-the local color property of the graph, so the direct verifiers are the
-reductions: verify_diff_local_property and verify_distance_local_property
-validate their input once, then share one step that reduces, runs
+The two reductions, difference_color_graph and distance_color_graph,
+build a complete graph whose vertices are the set elements (in ascending
+order) or the points (in input order), with one color per distinct
+positive difference or squared distance.  Local difference/distance
+properties of the set then coincide exactly with the local color
+property of the graph, so the direct verifiers are the reductions:
+verify_diff_local_property and verify_distance_local_property validate
+their input, then share one step that calls the public reduction (the
+only one; it re-validates the normalized input, a cheap no-op), runs
 coloring.verify_local_property and maps the witness's vertex indices back
-to elements or points.  The additive energy is read off the difference
-graph: E(A) = |A|^2 + 2 * sum_d m_d^2 = |A|^2 + 2 * color_energy, since
-a + b = c + d exactly when a - c = d - b, and m_d pairs differ by d > 0.
+to elements or points.  The additive energy is read off the same
+difference graph: E(A) = |A|^2 + 2 * sum_d m_d^2 = |A|^2 + 2 *
+color_energy, since a + b = c + d exactly when a - c = d - b, and m_d
+pairs differ by d > 0.
 
 min_difference_set finds the least |A - A| under a (k, ell) difference
 property by a depth-first search over the candidates in lexicographic
@@ -95,7 +98,7 @@ def additive_energy(values) -> int:
     a = integer_set(values)
     if len(a) < 2:
         return len(a)
-    return len(a) ** 2 + 2 * color_energy(_difference_graph(a))
+    return len(a) ** 2 + 2 * color_energy(difference_color_graph(a))
 
 
 def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
@@ -105,7 +108,7 @@ def verify_diff_local_property(values, spec: LocalSpec) -> PropertyVerdict:
     elements; the witness of a failure is the least failing subset,
     reported as a tuple of elements.
     """
-    return _verify_reduced(integer_set(values), _difference_graph, spec, "set size")
+    return _verify_reduced(integer_set(values), difference_color_graph, spec, "set size")
 
 
 def verify_distance_local_property(points, spec: LocalSpec) -> PropertyVerdict:
@@ -115,7 +118,7 @@ def verify_distance_local_property(points, spec: LocalSpec) -> PropertyVerdict:
     order; a failure witness is the least failing subset, reported as a
     tuple of points.
     """
-    return _verify_reduced(point_set(points), _distance_graph, spec, "point count")
+    return _verify_reduced(point_set(points), distance_color_graph, spec, "point count")
 
 
 def _verify_reduced(items: tuple, reduce, spec: LocalSpec, what: str) -> PropertyVerdict:
@@ -139,11 +142,6 @@ def difference_color_graph(values) -> ColoredCompleteGraph:
     a = integer_set(values)
     if len(a) < 2:
         raise ValueError("need at least two elements")
-    return _difference_graph(a)
-
-
-def _difference_graph(a: tuple[int, ...]) -> ColoredCompleteGraph:
-    """difference_color_graph of an already normalized set of >= 2 elements."""
     return ColoredCompleteGraph.from_sparse(len(a), [y - x for x, y in combinations(a, 2)])
 
 
@@ -156,11 +154,6 @@ def distance_color_graph(points) -> ColoredCompleteGraph:
     pts = point_set(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    return _distance_graph(pts)
-
-
-def _distance_graph(pts: tuple[tuple[int, int], ...]) -> ColoredCompleteGraph:
-    """distance_color_graph of already validated points, at least two."""
     raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2)]
     return ColoredCompleteGraph.from_sparse(len(pts), raw)
 

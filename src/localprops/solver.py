@@ -101,10 +101,6 @@ class SolveResult:
     log: tuple[tuple[int, int, str], ...]  # (colors tried, nodes, outcome)
 
 
-def _assignment_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 _Table = tuple[
     list[list[tuple[int, tuple[int, ...]]]],  # fills[p]: (base slot, positions of U's edges)
     list[list[tuple[int, int]]],  # reads[p]: (prev slot, need)
@@ -112,11 +108,13 @@ _Table = tuple[
     int,  # slot count
 ]
 
+TABLE_LIMIT = 2_000_000  # reads or positions a subset table may hold
+
 
 def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table | None:
-    """Slot table for the DFS: (fills, reads, grows, slot count).
-
-    Assigning edge (i, j) changes the k-subsets {j} | U with U a
+    """Slot table for the DFS: (fills, reads, grows, slot count), built
+    position by position in assignment order, edge (i, j) at position
+    p = j(j-1)/2 + i.  Assigning it changes the k-subsets {j} | U with U a
     (k-1)-subset of {0..j-1} containing i; #{u in U : u > i} of their
     edges are still open.  reads[p] holds one (prev, need) per such
     subset: prev is the slot holding the subset's color mask before this
@@ -131,40 +129,47 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     first step of {j'} | U reads it in every column j' >= j.
     Within reads[p] the subsets completing at p come first: they are the
     likeliest to reject colors, so the pass that builds a position's
-    allowed mask reaches an empty mask, and stops, soonest.  Returns None
-    once deadline passes (checked once per assignment position).
+    allowed mask reaches an empty mask, and stops, soonest.
+
+    A table of C(n,k)(k-1) reads or C(n,2) positions over TABLE_LIMIT is
+    refused with ValueError before anything is built.  Returns None once
+    deadline passes (checked before each position, so at every n).
     """
-    order = _assignment_order(n)
-    fills: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
-    reads: list[list[tuple[int, int]]] = [[] for _ in order]
-    grows: list[list[tuple[int, int]]] = [[] for _ in order]
+    size = max(math.comb(n, k) * (k - 1), edge_count(n))
+    if size > TABLE_LIMIT:
+        raise ValueError(f"subset table for n={n}, k={k} needs {size} entries, over the limit {TABLE_LIMIT}")
+    fills, reads, grows = [], [], []  # per position, typed as in _Table
     base: dict[tuple[int, ...], int] = {}
     latest: dict[tuple[int, ...], int] = {}  # slot of U's latest step at this j
     slots = 0
-    for p, (i, j) in enumerate(order):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        if j < k - 1:
-            continue
-        if i == 0:
-            for rest in combinations(range(j - 1), k - 2):
-                u_set = rest + (j - 1,)
-                base[u_set] = slots
-                fills[p].append((slots, tuple(b * (b - 1) // 2 + a for a, b in combinations(u_set, 2))))
-                slots += 1
-        # subsets completing at this edge first: they prune the most
-        for step in range(k - 2, -1, -1):
-            need = ell - (k - 2 - step)  # k - 2 - step edges of {j} | U still open
-            for left in combinations(range(i), step):
-                head = left + (i,)
-                for right in combinations(range(i + 1, j), k - 2 - step):
-                    u_set = head + right
-                    prev = base[u_set] if step == 0 else latest.pop(u_set)
-                    reads[p].append((prev, need))
-                    if right:
-                        latest[u_set] = slots
-                        grows[p].append((slots, prev))
-                        slots += 1
+    for j in range(1, n):
+        for i in range(j):
+            if deadline is not None and time.monotonic() > deadline:
+                return None
+            fills.append(fill := [])
+            reads.append(read := [])
+            grows.append(grow := [])
+            if j < k - 1:
+                continue
+            if i == 0:
+                for rest in combinations(range(j - 1), k - 2):
+                    u_set = rest + (j - 1,)
+                    base[u_set] = slots
+                    fill.append((slots, tuple(b * (b - 1) // 2 + a for a, b in combinations(u_set, 2))))
+                    slots += 1
+            # subsets completing at this edge first: they prune the most
+            for step in range(k - 2, -1, -1):
+                need = ell - (k - 2 - step)  # k - 2 - step edges of {j} | U still open
+                for left in combinations(range(i), step):
+                    head = left + (i,)
+                    for right in combinations(range(i + 1, j), k - 2 - step):
+                        u_set = head + right
+                        prev = base[u_set] if step == 0 else latest.pop(u_set)
+                        read.append((prev, need))
+                        if right:
+                            latest[u_set] = slots
+                            grow.append((slots, prev))
+                            slots += 1
     return fills, reads, grows, slots
 
 
@@ -179,19 +184,19 @@ def feasible(
 ) -> FeasibleOutcome:
     """Is there a coloring of K_n with at most c colors satisfying spec?
 
-    Returns the lexicographically least satisfying assignment (in
-    assignment order) as a certificate, re-encoded in the row-major
-    edge index.  The deadline, budget.time_limit_s from now, also bounds
-    building the slot table.  Only min_colors passes the private
-    _deadline (its one solve-wide deadline) and _table (one table built
-    for this (n, spec)), to every level.  The search is one loop over
-    per-position state (the color assigned and its bit, the highest
-    color a branch may take and the allowed colors not yet taken), so
-    its depth, C(n,2), has no limit.  Each color a visit passes over or
-    takes counts as one node, as if tried in turn: a budget of N nodes
-    stops on the same node, with nodes = N + 1, as a color-by-color
-    search would.  The deadline is checked each time the node count
-    crosses a multiple of 1024.
+    Returns the lexicographically least satisfying assignment (in assignment
+    order) as a certificate: the color taken at position j(j-1)/2 + i goes
+    to edge (i, j)'s row-major index.  The deadline, budget.time_limit_s
+    from now, also bounds building the slot table, and an oversized table is
+    refused (_subset_checks).  Only min_colors passes the private _deadline
+    (its one solve-wide deadline) and _table (one table built for this
+    (n, spec)), to every level.  The search is one loop over per-position state
+    (the color assigned and its bit, the highest color a branch may take and
+    the allowed colors not yet taken), so its depth, C(n,2), has no limit.
+    Each color a visit passes over or takes counts as one node, as if tried
+    in turn: a budget of N nodes stops on the same node, with nodes = N + 1,
+    as a color-by-color search would.  The deadline is checked each time the
+    node count crosses a multiple of 1024.
     """
     _require_ints((n, c), "n and c")
     if spec.k > n:
@@ -208,8 +213,7 @@ def feasible(
         if _table is None:
             return FeasibleOutcome("exhausted", None, 0)
     fills, reads, grows, slots = _table
-    order = _assignment_order(n)
-    m = len(order)
+    m = edge_count(n)
     cols = [-1] * m
     bits = [0] * m  # per position: 1 << cols[pos], what base fills OR together
     tops = [0] * (m + 1)  # per position: the highest color its branches may take
@@ -263,8 +267,9 @@ def feasible(
     if pos < m:
         return FeasibleOutcome("no", None, nodes)
     row_major = [0] * m
-    for p, (i, j) in enumerate(order):
-        row_major[edge_index(n, i, j)] = cols[p]
+    for j in range(1, n):
+        for i in range(j):
+            row_major[edge_index(n, i, j)] = cols[j * (j - 1) // 2 + i]
     return FeasibleOutcome("yes", ColoredCompleteGraph(n, tuple(row_major)), nodes)
 
 
@@ -291,8 +296,6 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
     result from "optimal" to "bound-only".
     """
     _require_ints((n,), "n")
-    if spec.k > n:
-        raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
     deadline = None
     if budget and budget.time_limit_s is not None:
         deadline = time.monotonic() + budget.time_limit_s

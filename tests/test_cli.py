@@ -250,6 +250,15 @@ def test_solve_f_non_finite_time_limit_exits_2(limit):
     assert proc.stderr.startswith("localprops: error: ") and proc.stderr.count("\n") == 1
 
 
+def test_solve_f_refuses_an_oversized_subset_table():
+    proc = run_cli("solve-f", "--n", "60", "--k", "5", "--ell", "10", "--node-limit", "10")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "localprops: error: subset table for n=60, k=5 needs 21846048 entries, over the limit 2000000\n"
+    )
+
+
 def test_solve_f_unsatisfiable_and_infeasible():
     proc = run_cli("solve-f", "--n", "4", "--k", "3", "--ell", "4")
     assert proc.returncode == 1

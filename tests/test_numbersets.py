@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import localprops.numbersets as numbersets_module
 from localprops import (
     DiffSetSearchResult,
     LocalSpec,
@@ -129,6 +130,34 @@ def test_reduction_soundness_distances():
         if not direct.holds:
             assert direct.witness_colors == count
             assert direct.witness == witness
+
+
+def test_verifiers_and_energy_reduce_through_the_public_reductions(monkeypatch):
+    # the benchmark traces the reductions by rebinding the module's names,
+    # so each verifier call and additive_energy must build its graph there
+    calls = []
+
+    def counted(name):
+        reduce = getattr(numbersets_module, name)
+
+        def wrapper(items):
+            calls.append(name)
+            return reduce(items)
+
+        monkeypatch.setattr(numbersets_module, name, wrapper)
+
+    counted("difference_color_graph")
+    counted("distance_color_graph")
+    spec = LocalSpec(3, 3)
+    assert verify_diff_local_property([7, 1, 2, 5], spec).holds
+    assert calls == ["difference_color_graph"]
+    assert not verify_diff_local_property([1, 2, 3], spec).holds
+    assert additive_energy([1, 2, 4]) == brute_additive_energy((1, 2, 4))
+    assert calls == ["difference_color_graph"] * 3
+    calls.clear()
+    assert verify_distance_local_property([(0, 0), (1, 0), (3, 0)], spec).holds
+    assert not verify_distance_local_property([(0, 0), (1, 0), (2, 0)], spec).holds
+    assert calls == ["distance_color_graph"] * 2
 
 
 def test_collinear_points_reduce_like_differences():

@@ -35,6 +35,10 @@ def test_feasible_examples():
         feasible(3, LocalSpec(4, 3), 4)
     with pytest.raises(ValueError):
         feasible(3, LocalSpec(3, 3), 0)
+    # min_colors leaves the k > n check to its first feasible call
+    for ell in (1, 3):
+        with pytest.raises(ValueError, match="^k=4 exceeds n=3: infeasible query$"):
+            min_colors(3, LocalSpec(4, ell))
 
 
 def test_min_colors_triangle_table():
@@ -330,9 +334,41 @@ def test_time_budget_covers_preprocessing():
     assert (out.status, out.nodes) == ("exhausted", 0)
 
 
+def test_time_budget_covers_preprocessing_at_large_n():
+    # nothing C(n,2)-long is allocated before the build's first deadline
+    # check, so a 0.01 s limit stops a 499,500-position build at once
+    t0 = time.monotonic()
+    res = min_colors(1000, LocalSpec(2, 1), SolveBudget(time_limit_s=0.01))
+    assert time.monotonic() - t0 < 0.3
+    assert (res.status, res.log) == ("budget-exhausted", ((1, 0, "exhausted"),))
+    out = feasible(1000, LocalSpec(2, 1), 1, SolveBudget(time_limit_s=0.01))
+    assert out == FeasibleOutcome("exhausted", None, 0)
+
+
+def test_oversized_subset_table_is_refused_before_it_is_built():
+    # node_limit does not bound the table build, so the build refuses a
+    # table over solver.TABLE_LIMIT entries up front: (60, 5) would hold
+    # C(60,5)*4 reads, about 4 GB
+    message = "subset table for n=60, k=5 needs 21846048 entries, over the limit 2000000"
+    t0 = time.monotonic()
+    with pytest.raises(ValueError) as refused:
+        min_colors(60, LocalSpec(5, 10), SolveBudget(node_limit=10))
+    assert str(refused.value) == message
+    with pytest.raises(ValueError, match=message):
+        feasible(60, LocalSpec(5, 10), 10)
+    # k = 2: C(2001,2) positions, one read each
+    with pytest.raises(ValueError, match="needs 2001000 entries"):
+        min_colors(2001, LocalSpec(2, 1))
+    with pytest.raises(ValueError, match="needs 2001000 entries"):
+        feasible(2001, LocalSpec(2, 1), 1)
+    assert time.monotonic() - t0 < 0.5
+    # test_time_budget_covers_preprocessing needs the (22, 6) build to run
+    assert comb(22, 6) * 5 <= solver_module.TABLE_LIMIT
+
+
 def test_feasible_frees_its_search_state():
-    # the recursive search must not leave a reference cycle behind: a
-    # long node-limited solve would otherwise hold one state list per level
+    # the search loop must not leave a reference cycle behind: a long
+    # node-limited solve would otherwise hold one state list per level
     gc.collect()
     gc.disable()
     try:
