@@ -296,6 +296,8 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
     result from "optimal" to "bound-only".
     """
     _require_ints((n,), "n")
+    if spec.k > n:
+        raise ValueError(f"k={spec.k} exceeds n={n}: infeasible query")
     deadline = None
     if budget and budget.time_limit_s is not None:
         deadline = time.monotonic() + budget.time_limit_s

@@ -35,10 +35,11 @@ def test_feasible_examples():
         feasible(3, LocalSpec(4, 3), 4)
     with pytest.raises(ValueError):
         feasible(3, LocalSpec(3, 3), 0)
-    # min_colors leaves the k > n check to its first feasible call
-    for ell in (1, 3):
-        with pytest.raises(ValueError, match="^k=4 exceeds n=3: infeasible query$"):
-            min_colors(3, LocalSpec(4, ell))
+    # min_colors checks k > n itself: at n <= 1 no level is searched, and
+    # with c >= ell at the first level the table would be built first
+    for n, k, ell in ((3, 4, 1), (3, 4, 3), (1, 2, 1), (0, 3, 2), (40, 41, 1), (2001, 2002, 1)):
+        with pytest.raises(ValueError, match=f"^k={k} exceeds n={n}: infeasible query$"):
+            min_colors(n, LocalSpec(k, ell))
 
 
 def test_min_colors_triangle_table():
