@@ -34,6 +34,24 @@ k-subset containing those has deficiency above t.  _raw_holds decides a
 coloring given as raw ids by these two tests and scans only when
 neither applies.
 
+Between the two tests lies a second search, over repeat-edge cores,
+which the color energy below counts.  A k-set S fails exactly when it
+contains a union T of at most t+1 same-colored edge pairs whose own
+deficiency exceeds t: for each color with m >= 2 edges in S, pair its
+first edge with each of the others, and any t+1 of those pairs already
+span deficiency t+1.  Deficiency only grows with the set, and the least
+k-set containing T is L(T), T plus the smallest vertices outside it, so
+the lexicographically least failing k-set is the least L(T) over the
+unions T of at most t+1 pairs with |T| <= k and deficiency above t.
+There are P = (color_energy - C(n,2))/2 same-colored pairs, so that
+search visits at most about P^(t+1) unions against the scan's C(n,k)
+k-subsets.  verify_local_property chooses between them from its input
+alone: with delta = C(n,2) - num_colors, it holds if delta <= t, scans
+if 4(t+1) <= k (it fails, and the scan's first k-subsets show where),
+scans if delta^(t+1) >= C(n,k) (P >= delta, so the cores cannot win;
+decided in O(1), with no histogram), and otherwise reads P off
+color_histogram and searches the cores when P^(t+1) < C(n,k).
+
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
 connects color multiplicities to that property.  On the difference graph
@@ -48,7 +66,9 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, compress, repeat, starmap
+from math import comb
 
 __all__ = [
     "ColoredCompleteGraph",
@@ -75,6 +95,27 @@ def edge_index(n: int, i: int, j: int) -> int:
     if not 0 <= i < j < n:
         raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
     return i * n - i * (i + 1) // 2 + j - i - 1
+
+
+@lru_cache(maxsize=32)
+def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per edge index of K_n: its lower endpoint, its upper endpoint, and
+    the two as a vertex bitmask; row-major, as edge_colors is stored."""
+    lo = tuple(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1))))
+    hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
+    bits = [1 << v for v in range(n)]
+    return lo, hi, tuple(map(operator.or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
+
+
+def _end_color_keys(G: "ColoredCompleteGraph") -> list[int]:
+    """vertex * num_colors + color for every edge at its lower end, then
+    for every edge at its upper end, each in edge order."""
+    lo, hi, _ = _endpoints(G.n)
+    stride, colors = repeat(G.num_colors), G.edge_colors
+    return [
+        *map(operator.add, map(operator.mul, lo, stride), colors),
+        *map(operator.add, map(operator.mul, hi, stride), colors),
+    ]
 
 
 @dataclass(frozen=True)
@@ -205,15 +246,27 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     path is the one list of chosen vertices they share, so the scan
     state beyond the mask rows is O(k).
 
-    First, if G's deficiency C(n,2) - num_colors is at most
-    spec.repeat_budget, no k-subset can fail, and the verdict is holds
-    with no scan.
+    First comes the gate the module docstring sets out, with t =
+    spec.repeat_budget and delta = C(n,2) - num_colors: holds with no
+    scan when delta <= t; the scan when 4(t+1) <= k or delta^(t+1) >=
+    C(n,k); otherwise P same-colored edge pairs from one color_histogram,
+    and _repeat_cores decides when P^(t+1) < C(n,k).  Both paths give
+    the same verdict, witness and witness_colors.
     """
     n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
         raise ValueError(f"k={k} exceeds vertex count n={n}: infeasible query")
-    if len(edge_colors) - G.num_colors <= spec.repeat_budget:
+    t = spec.repeat_budget
+    deficiency = len(edge_colors) - G.num_colors
+    if deficiency <= t:
         return PropertyVerdict(True)
+    if 4 * (t + 1) > k:
+        subsets = comb(n, k)
+        if not _power_reaches(deficiency, t + 1, subsets):
+            histogram = color_histogram(G)
+            pairs = sum(m * (m - 1) for m in histogram.values()) // 2
+            if not _power_reaches(pairs, t + 1, subsets):
+                return _repeat_cores(G, spec, histogram)
     bit = [1 << c for c in range(G.num_colors)].__getitem__
     or_ = operator.or_
     path, stack = [0] * k, []
@@ -284,6 +337,86 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
                     row |= grown
                     if row.bit_count() < ell:
                         return PropertyVerdict(False, (*path[: k - 2], v, w), row.bit_count())
+
+
+def _power_reaches(base: int, exp: int, target: int) -> bool:
+    """base ** exp >= target, for base >= exp >= 1, as a product capped at
+    target: at most target.bit_length() factors, however large exp is."""
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power >= target:
+            return True
+    return False
+
+
+def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) -> PropertyVerdict:
+    """verify_local_property(G, spec) for k <= n, from the unions of
+    same-colored edge pairs (module docstring); histogram is color_histogram(G).
+
+    A core is the vertex mask of one same-colored pair, each distinct
+    mask once, ascending; for k < 4 only the pairs with a common end,
+    since the others have 4 vertices.  One loop over an explicit stack
+    grows unions T of at most t+1 cores in index order.  A core that
+    adds no vertex is skipped (the union without it is reached with one
+    more core to spare), and a union stops growing at k vertices.  A
+    union whose induced deficiency exceeds t gives the candidate L(T),
+    and a union whose L(T) is no less than the best candidate so far is
+    cut: every union grown from it has an L no less.
+    """
+    n, k, t, edge_colors = G.n, spec.k, spec.repeat_budget, G.edge_colors
+    edge_masks = _endpoints(n)[2]
+    if k >= 4:  # group the edges by color
+        keys, masks, counts = edge_colors, edge_masks, histogram
+    else:  # by end and color, so that only pairs with a common end are formed
+        keys = _end_color_keys(G)
+        masks, counts = edge_masks * 2, Counter(keys)
+    groups = {key: [] for key, m in counts.items() if m > 1}
+    keep = list(map(groups.__contains__, keys))
+    for key, mask in zip(compress(keys, keep), compress(masks, keep)):
+        groups[key].append(mask)
+    cores = sorted(set(chain.from_iterable(starmap(operator.or_, combinations(g, 2)) for g in groups.values())))
+
+    def vertices(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+    def least_superset(mask):  # L(T)
+        for _ in range(k - mask.bit_count()):
+            mask |= ~mask & (mask + 1)  # the smallest vertex outside
+        return mask
+
+    def colors(mask):
+        return len(
+            {edge_colors[u * n - u * (u + 1) // 2 - u - 1 + w] for u, w in combinations(vertices(mask), 2)}
+        )
+
+    best = 0  # the vertex mask of the least L(T) so far
+    stack = [(0, 0, 0)]  # (union, index of its next core, cores in it)
+    while stack:
+        union, start, used = stack.pop()
+        for j in range(start, len(cores)):
+            grown = union | cores[j]
+            size = grown.bit_count()
+            if grown == union or size > k:
+                continue
+            if best:
+                differ = least_superset(grown) ^ best
+                if not differ & -differ & ~best:  # L(T) is no less than best
+                    continue
+            if size * (size - 1) // 2 - colors(grown) > t:
+                best = least_superset(grown)
+            elif used < t and size < k:  # grow it first, then resume past core j
+                stack.append((union, j + 1, used))
+                stack.append((grown, j + 1, used + 1))
+                break
+    if not best:
+        return PropertyVerdict(True)
+    return PropertyVerdict(False, tuple(vertices(best)), colors(best))
 
 
 def _raw_holds(n: int, raw: list, spec: LocalSpec) -> bool:

@@ -430,6 +430,8 @@ def brute_sphere_elements(dim, base, radius):
 
 
 def brute_isosceles(points):
+    """The least isosceles (or degenerate isosceles) triple of the sorted
+    points, by squared distances, or None."""
     for p, q, r in combinations(sorted(points), 3):
         d = sorted(
             (
@@ -439,8 +441,8 @@ def brute_isosceles(points):
             )
         )
         if d[0] == d[1] or d[1] == d[2]:
-            return True
-    return False
+            return p, q, r
+    return None
 
 
 def per_edge_draw(n, colors, seed):

@@ -24,7 +24,8 @@ from localprops import (
     random_coloring,
     verify_local_property,
 )
-from localprops.coloring import _raw_holds
+from localprops import coloring
+from localprops.coloring import _raw_holds, _repeat_cores
 from oracles import (
     brute_energy_quadruples,
     brute_verdict,
@@ -142,6 +143,203 @@ def test_repeat_budget_matches_oracle_near_rainbow_fuzzed(case):
     g, k, ell = case
     verdict = verify_local_property(g, LocalSpec(k, ell))
     assert (verdict.holds, verdict.witness, verdict.witness_colors) == brute_verdict(g, k, ell)
+
+
+# The repeat-edge cores search, called directly so that the gate in front of
+# it hides no case.  Its work grows like P^(t+1), with P the same-colored edge
+# pairs, so each case draws t with P^(t+1) within CORE_WORK, as the gate
+# keeps it within C(n,k).
+CORE_WORK = 10_000
+
+
+def _same_colored_pairs(g):
+    return sum(comb(m, 2) for m in color_histogram(g).values())
+
+
+def _bounded_spec(draw, g, k, t_lo=0):
+    """A LocalSpec(k, ell) with t = C(k,2) - ell >= t_lo and P^(t+1) <= CORE_WORK."""
+    pairs, t_hi = _same_colored_pairs(g), comb(k, 2) - 1
+    while t_hi > t_lo and pairs ** (t_hi + 1) > CORE_WORK:
+        t_hi -= 1
+    t = draw(st.integers(min(t_lo, t_hi), t_hi))
+    return LocalSpec(k, comb(k, 2) - t)
+
+
+def _assert_cores_match_brute(g, spec):
+    v = _repeat_cores(g, spec, color_histogram(g))
+    assert (v.holds, v.witness, v.witness_colors) == brute_verdict(g, spec.k, spec.ell)
+    return v
+
+
+@st.composite
+def _cores_near_rainbow(draw):
+    g, k, _ = draw(_near_rainbow_cases())
+    return g, _bounded_spec(draw, g, k)
+
+
+@st.composite
+def _cores_within_budget(draw):
+    # delta = C(n,2) - num_colors <= t: no k-set can fail
+    n = draw(st.integers(4, 9))
+    edge = st.integers(0, comb(n, 2) - 1)
+    g = _plant_repeats(n, draw(st.lists(st.tuples(edge, edge), max_size=3)))
+    k = draw(st.integers(4, n))
+    return g, _bounded_spec(draw, g, k, t_lo=comb(n, 2) - g.num_colors)
+
+
+@st.composite
+def _cores_spanning_k(draw):
+    # one color on edges that cover a chosen k-set S, and t one below their
+    # surplus: only S itself fails, so the failing union has exactly k vertices
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(3, min(n, 9)))
+    s = sorted(draw(st.permutations(range(n)))[:k])
+    ends = [(s[i], s[i + 1]) for i in range(0, k - 1, 2)]
+    if k % 2:
+        ends.append((s[k - 2], s[k - 1]))
+    first = edge_index(n, *ends[0])
+    g = _plant_repeats(n, [(edge_index(n, *e), first) for e in ends[1:]])
+    return g, LocalSpec(k, comb(k, 2) - (len(ends) - 2)), tuple(s)
+
+
+@st.composite
+def _cores_one_color(draw):
+    # several surplus edges in one color, and a few other repeats
+    n = draw(st.integers(4, 10))
+    edge = st.integers(0, comb(n, 2) - 1)
+    heavy = draw(st.lists(edge, min_size=3, max_size=6, unique=True))
+    noise = draw(st.lists(st.tuples(edge, edge), max_size=2))
+    g = _plant_repeats(n, [(e, heavy[0]) for e in heavy[1:]] + noise)
+    return g, _bounded_spec(draw, g, draw(st.integers(3, n)))
+
+
+@st.composite
+def _cores_competing(draw):
+    # two or three repeated pairs, any of which fails on its own at t = 0:
+    # the witness is the least of their L(T)
+    n = draw(st.integers(5, 10))
+    edges = draw(st.lists(st.integers(0, comb(n, 2) - 1), min_size=4, max_size=6, unique=True))
+    g = _plant_repeats(n, list(zip(edges[1::2], edges[::2])))
+    k = draw(st.integers(3, n))
+    return g, LocalSpec(k, comb(k, 2))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(_cores_near_rainbow(), _cores_one_color(), _cores_competing()))
+def test_repeat_cores_match_oracle_fuzzed(case):
+    _assert_cores_match_brute(*case)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_cores_within_budget())
+def test_repeat_cores_hold_within_the_repeat_budget(case):
+    assert _assert_cores_match_brute(*case).holds
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_cores_spanning_k())
+def test_repeat_cores_find_a_union_of_exactly_k_vertices(case):
+    g, spec, s = case
+    v = _assert_cores_match_brute(g, spec)
+    assert (v.holds, v.witness) == (False, s)
+
+
+def _gate_path(monkeypatch, g, spec):
+    """verify_local_property(g, spec) with color_histogram and _repeat_cores
+    watched: (verdict, histogram built, cores searched)."""
+    seen = []
+
+    def watch(name, real):
+        def call(*args):
+            seen.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(coloring, name, call)
+
+    watch("color_histogram", coloring.color_histogram)
+    watch("_repeat_cores", coloring._repeat_cores)
+    v = verify_local_property(g, spec)
+    monkeypatch.undo()
+    return (v.holds, v.witness, v.witness_colors), "color_histogram" in seen, "_repeat_cores" in seen
+
+
+def _pairs_graph(n, pairs):
+    """Rainbow K_n but for `pairs` repeated colors, the i-th on edges 2i and 2i+1."""
+    return _plant_repeats(n, [(2 * i + 1, 2 * i) for i in range(pairs)])
+
+
+def test_gate_takes_each_stage_on_both_sides(monkeypatch):
+    # (graph, spec, histogram built, cores searched); delta and P by stage
+    cases = [
+        # 1. delta <= t holds at once; delta = t + 1 goes on
+        (_pairs_graph(6, 1), LocalSpec(4, 5), False, False),
+        (_pairs_graph(6, 2), LocalSpec(4, 5), True, True),
+        # 2. 4(t+1) <= k: the scan; 4(t+1) = k + 1 goes on
+        (_pairs_graph(8, 2), LocalSpec(4, 6), False, False),
+        (_pairs_graph(8, 2), LocalSpec(3, 3), True, True),
+        # 3. delta^(t+1) >= C(n,k): the scan, at delta^2 = 81 >= C(8,4) = 70 and
+        #    at delta = 4 >= C(4,3); delta^2 = 64 < 70 and delta = 3 < 4 go on
+        (_pairs_graph(8, 9), LocalSpec(4, 5), False, False),
+        (ColoredCompleteGraph(4, (0, 0, 0, 1, 1, 0)), LocalSpec(3, 3), False, False),
+        (_pairs_graph(8, 8), LocalSpec(4, 5), True, True),
+        (ColoredCompleteGraph(4, (0, 0, 1, 1, 2, 2)), LocalSpec(3, 3), True, True),
+        # 4. P^(t+1) < C(n,k): the cores, as at P = 8 above; P = 36 at delta = 8
+        #    (nine edges of one color) builds the histogram, then scans
+        (_plant_repeats(8, [(e, 0) for e in range(1, 9)]), LocalSpec(4, 5), True, False),
+    ]
+    for g, spec, histogram, cores in cases:
+        got, built, searched = _gate_path(monkeypatch, g, spec)
+        assert (built, searched) == (histogram, cores), (g, spec)
+        assert got == brute_verdict(g, spec.k, spec.ell), (g, spec)
+
+
+def test_gate_builds_no_histogram_for_the_o1_scans(monkeypatch):
+    # 4(t+1) <= k and delta^(t+1) >= C(n,k) go to the scan in O(1), so a
+    # per-call statistic there would cost every monte-carlo trial
+    rng = random.Random(5150)
+    stages = set()
+    for _ in range(120):
+        n = rng.randint(3, 9)
+        g = random_coloring(RandomColoringConfig(n, rng.randint(1, comb(n, 2)), rng.getrandbits(32)))
+        k = rng.randint(2, n)
+        ell = rng.randint(1, comb(k, 2))
+        t, delta = comb(k, 2) - ell, comb(n, 2) - g.num_colors
+        if delta <= t:
+            continue
+        o1 = 4 * (t + 1) <= k or delta ** (t + 1) >= comb(n, k)
+        stages.add(o1)
+        got, built, _ = _gate_path(monkeypatch, g, LocalSpec(k, ell))
+        assert built == (not o1), (g, k, ell)
+        assert got == brute_verdict(g, k, ell)
+    assert stages == {True, False}
+
+
+def _spread_pairs(n, count, seed):
+    """count repeated colors on random disjoint edge pairs of K_n, no two
+    pairs on the same four vertices; the vertex sets of the pairs."""
+    rng = random.Random(seed)
+    colors, quads, used = list(range(comb(n, 2))), set(), set()
+    while len(quads) < count:
+        a, b, c, d = rng.sample(range(n), 4)
+        e, f = edge_index(n, *sorted((a, b))), edge_index(n, *sorted((c, d)))
+        quad = frozenset((a, b, c, d))
+        if quad not in quads and not used & {e, f}:
+            colors[e] = f
+            quads.add(quad)
+            used |= {e, f}
+    return ColoredCompleteGraph.from_sparse(n, colors), quads
+
+
+def test_repeat_cores_decide_the_large_holding_examples(monkeypatch):
+    # each color repeats at most once, so a k-set's deficiency is the number
+    # of pairs inside it; no two pairs fit in k vertices, so at t = 1 both
+    # hold.  The scan took seconds on the first and 30 s on the second.
+    for n, count, spec in ((60, 6, LocalSpec(5, 9)), (150, 100, LocalSpec(4, 5))):
+        g, quads = _spread_pairs(n, count, n)
+        assert comb(n, 2) - g.num_colors == count
+        assert all(len(p | q) > spec.k for p, q in combinations(quads, 2))
+        got, built, searched = _gate_path(monkeypatch, g, spec)
+        assert (got, built, searched) == ((True, None, None), True, True)
 
 
 def test_repeat_budget_matches_oracle_in_every_regime():
