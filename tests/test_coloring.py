@@ -152,13 +152,9 @@ def test_repeat_budget_matches_oracle_near_rainbow_fuzzed(case):
 CORE_WORK = 10_000
 
 
-def _same_colored_pairs(g):
-    return sum(comb(m, 2) for m in color_histogram(g).values())
-
-
 def _bounded_spec(draw, g, k, t_lo=0):
     """A LocalSpec(k, ell) with t = C(k,2) - ell >= t_lo and P^(t+1) <= CORE_WORK."""
-    pairs, t_hi = _same_colored_pairs(g), comb(k, 2) - 1
+    pairs, t_hi = sum(comb(m, 2) for m in color_histogram(g).values()), comb(k, 2) - 1
     while t_hi > t_lo and pairs ** (t_hi + 1) > CORE_WORK:
         t_hi -= 1
     t = draw(st.integers(min(t_lo, t_hi), t_hi))
