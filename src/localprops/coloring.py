@@ -46,11 +46,16 @@ unions T of at most t+1 pairs with |T| <= k and deficiency above t.
 There are P = (color_energy - C(n,2))/2 same-colored pairs, so that
 search visits at most about P^(t+1) unions against the scan's C(n,k)
 k-subsets.  verify_local_property chooses between them from its input
-alone: with delta = C(n,2) - num_colors, it holds if delta <= t, scans
-if 4(t+1) <= k (it fails, and the scan's first k-subsets show where),
-scans if delta^(t+1) >= C(n,k) (P >= delta, so the cores cannot win;
-decided in O(1), with no histogram), and otherwise reads P off
-color_histogram and searches the cores when P^(t+1) < C(n,k).
+alone.  With delta = C(n,2) - num_colors and limit = min(C(n,k),
+2 C(n,2) + 1), it holds if delta <= t, scans if 4(t+1) <= k (it fails,
+and the scan's first k-subsets show where), scans if delta^(t+1) >=
+limit (P >= delta, so the cores are not taken; decided in O(1), with
+no histogram), and otherwise reads P off color_histogram and searches
+the cores when P^(t+1) < limit.  The second term of limit keeps the
+cores' work and memory within a constant times the C(n,2) colors the
+input already holds: a graph that fails may fail on the scan's first
+k-subsets, so C(n,k) alone does not bound what the cores may cost
+against the scan.
 
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
@@ -64,9 +69,9 @@ d.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, compress, repeat, starmap
 from math import comb
 
@@ -95,27 +100,6 @@ def edge_index(n: int, i: int, j: int) -> int:
     if not 0 <= i < j < n:
         raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
     return i * n - i * (i + 1) // 2 + j - i - 1
-
-
-@lru_cache(maxsize=32)
-def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Per edge index of K_n: its lower endpoint, its upper endpoint, and
-    the two as a vertex bitmask; row-major, as edge_colors is stored."""
-    lo = tuple(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1))))
-    hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
-    bits = [1 << v for v in range(n)]
-    return lo, hi, tuple(map(operator.or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
-
-
-def _end_color_keys(G: "ColoredCompleteGraph") -> list[int]:
-    """vertex * num_colors + color for every edge at its lower end, then
-    for every edge at its upper end, each in edge order."""
-    lo, hi, _ = _endpoints(G.n)
-    stride, colors = repeat(G.num_colors), G.edge_colors
-    return [
-        *map(operator.add, map(operator.mul, lo, stride), colors),
-        *map(operator.add, map(operator.mul, hi, stride), colors),
-    ]
 
 
 @dataclass(frozen=True)
@@ -247,11 +231,12 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     state beyond the mask rows is O(k).
 
     First comes the gate the module docstring sets out, with t =
-    spec.repeat_budget and delta = C(n,2) - num_colors: holds with no
-    scan when delta <= t; the scan when 4(t+1) <= k or delta^(t+1) >=
-    C(n,k); otherwise P same-colored edge pairs from one color_histogram,
-    and _repeat_cores decides when P^(t+1) < C(n,k).  Both paths give
-    the same verdict, witness and witness_colors.
+    spec.repeat_budget, delta = C(n,2) - num_colors and limit =
+    min(C(n,k), 2 C(n,2) + 1): holds with no scan when delta <= t; the
+    scan when 4(t+1) <= k or delta^(t+1) >= limit; otherwise P
+    same-colored edge pairs from one color_histogram, and _repeat_cores
+    decides when P^(t+1) < limit.  Both paths give the same verdict,
+    witness and witness_colors.
     """
     n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
@@ -261,11 +246,11 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     if deficiency <= t:
         return PropertyVerdict(True)
     if 4 * (t + 1) > k:
-        subsets = comb(n, k)
-        if not _power_reaches(deficiency, t + 1, subsets):
+        limit = min(comb(n, k), 2 * len(edge_colors) + 1)
+        if not _power_reaches(deficiency, t + 1, limit):
             histogram = color_histogram(G)
             pairs = sum(m * (m - 1) for m in histogram.values()) // 2
-            if not _power_reaches(pairs, t + 1, subsets):
+            if not _power_reaches(pairs, t + 1, limit):
                 return _repeat_cores(G, spec, histogram)
     bit = [1 << c for c in range(G.num_colors)].__getitem__
     or_ = operator.or_
@@ -356,25 +341,30 @@ def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) 
 
     A core is the vertex mask of one same-colored pair, each distinct
     mask once, ascending; for k < 4 only the pairs with a common end,
-    since the others have 4 vertices.  One loop over an explicit stack
-    grows unions T of at most t+1 cores in index order.  A core that
-    adds no vertex is skipped (the union without it is reached with one
-    more core to spare), and a union stops growing at k vertices.  A
-    union whose induced deficiency exceeds t gives the candidate L(T),
-    and a union whose L(T) is no less than the best candidate so far is
-    cut: every union grown from it has an L no less.
+    since the others have 4 vertices.  Only the edges in a repeated
+    group get a mask, found from the row starts by bisection.  One loop
+    over an explicit stack grows unions T of at most t+1 cores in index
+    order.  A core that adds no vertex is skipped (the union without it
+    is reached with one more core to spare), and a union stops growing
+    at k vertices.  A union whose induced deficiency exceeds t gives
+    the candidate L(T), and a union whose L(T) is no less than the best
+    candidate so far is cut: every union grown from it has an L no less.
     """
     n, k, t, edge_colors = G.n, spec.k, spec.repeat_budget, G.edge_colors
-    edge_masks = _endpoints(n)[2]
+    starts = [u * n - u * (u + 1) // 2 for u in range(n)]  # edge (u, u+1)
     if k >= 4:  # group the edges by color
-        keys, masks, counts = edge_colors, edge_masks, histogram
+        keys, counts = edge_colors, histogram
     else:  # by end and color, so that only pairs with a common end are formed
-        keys = _end_color_keys(G)
-        masks, counts = edge_masks * 2, Counter(keys)
-    groups = {key: [] for key, m in counts.items() if m > 1}
-    keep = list(map(groups.__contains__, keys))
-    for key, mask in zip(compress(keys, keep), compress(masks, keep)):
-        groups[key].append(mask)
+        q = G.num_colors  # key end * q + color: each edge at its lower end, then at its upper end
+        lower = chain.from_iterable(map(repeat, range(0, n * q, q), range(n - 1, -1, -1)))
+        upper = chain.from_iterable(map(range, range(q, n * q, q), repeat(n * q), repeat(q)))
+        keys = [*map(operator.add, lower, edge_colors), *map(operator.add, upper, edge_colors)]
+        counts = Counter(keys)
+    groups = {key: [] for key in compress(counts, map(operator.gt, counts.values(), repeat(1)))}
+    for i in compress(range(len(keys)), map(groups.__contains__, keys)):
+        e = i % len(edge_colors)
+        u = bisect_right(starts, e) - 1
+        groups[keys[i]].append(1 << u | 1 << (e - starts[u] + u + 1))
     cores = sorted(set(chain.from_iterable(starmap(operator.or_, combinations(g, 2)) for g in groups.values())))
 
     def vertices(mask):

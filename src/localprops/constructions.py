@@ -28,7 +28,7 @@ from itertools import count, repeat
 from operator import sub
 
 from .coloring import ColoredCompleteGraph, LocalSpec, _raw_holds, _require_ints, edge_count
-from .numbersets import integer_set, point_set, verify_distance_local_property
+from .numbersets import integer_set, point_set
 
 __all__ = [
     "RandomColoringConfig",
@@ -242,16 +242,27 @@ def collinear_point_set(values) -> tuple[tuple[int, int], ...]:
 
 
 def verify_isosceles_free(points) -> tuple | None:
-    """The least triple, in sorted point order, with two equal pairwise
-    squared distances, or None.
+    """A triple with two equal pairwise squared distances, or None.
 
-    Degenerate (collinear) triples count.  A triple is isosceles exactly
-    when it spans fewer than 3 distances, so this is the (3,3) distance
-    verifier on the sorted points, whose witness is the lexicographically
-    least failing triple.  Coordinates must be ints and points distinct,
-    as for numbersets.point_set.
+    Degenerate (collinear) triples count.  Any such triple has an apex
+    vertex carrying both equal sides, so it suffices to scan, for every
+    point, the squared distances to all others for a duplicate.  The
+    returned witness is the least triple over first-duplicate hits, in
+    sorted point order; the scan is deterministic.  Coordinates must be
+    ints and points distinct, as for numbersets.point_set.
     """
     pts = sorted(point_set(points))
-    if len(pts) < 3:
-        return None
-    return verify_distance_local_property(pts, LocalSpec(3, 3)).witness
+    best = None
+    for qi, q in enumerate(pts):
+        first_at: dict[int, int] = {}
+        for ri, r in enumerate(pts):
+            if ri == qi:
+                continue
+            d2 = (q[0] - r[0]) ** 2 + (q[1] - r[1]) ** 2
+            if d2 in first_at:
+                tri = tuple(sorted((q, pts[first_at[d2]], r)))
+                if best is None or tri < best:
+                    best = tri
+            else:
+                first_at[d2] = ri
+    return best

@@ -20,18 +20,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from functools import lru_cache
+from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import eq, ge
+from operator import add, eq, ge, mul, or_
 
-from .coloring import (
-    ColoredCompleteGraph,
-    LocalSpec,
-    _end_color_keys,
-    _endpoints,
-    _require_ints,
-    color_histogram,
-)
+from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, color_histogram
 
 __all__ = [
     "BudgetExceededError",
@@ -82,10 +76,22 @@ class DetectorParams:
         return LocalSpec(kk, comb(kk, 2) - self.mono_degree_cap + 1)
 
 
+@lru_cache(maxsize=32)
+def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per edge index of K_n: its lower endpoint, its upper endpoint, and
+    the two as a vertex bitmask; row-major, as edge_colors is stored."""
+    lo = tuple(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1))))
+    hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
+    bits = [1 << v for v in range(n)]
+    return lo, hi, tuple(map(or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
+
+
 def _mono_degrees(G: ColoredCompleteGraph) -> Counter:
     """Same-colored edge count at every (vertex, color) pair that has one,
     keyed vertex * num_colors + color, so key order is (vertex, color) order."""
-    return Counter(_end_color_keys(G))
+    lo, hi, _ = _endpoints(G.n)
+    stride, colors = repeat(G.num_colors), G.edge_colors
+    return Counter(chain(map(add, map(mul, lo, stride), colors), map(add, map(mul, hi, stride), colors)))
 
 
 def max_mono_degree(G: ColoredCompleteGraph):

@@ -148,7 +148,7 @@ def test_repeat_budget_matches_oracle_near_rainbow_fuzzed(case):
 # The repeat-edge cores search, called directly so that the gate in front of
 # it hides no case.  Its work grows like P^(t+1), with P the same-colored edge
 # pairs, so each case draws t with P^(t+1) within CORE_WORK, as the gate
-# keeps it within C(n,k).
+# keeps it within min(C(n,k), 2 C(n,2) + 1).
 CORE_WORK = 10_000
 
 
@@ -265,7 +265,8 @@ def _pairs_graph(n, pairs):
 
 
 def test_gate_takes_each_stage_on_both_sides(monkeypatch):
-    # (graph, spec, histogram built, cores searched); delta and P by stage
+    # (graph, spec, histogram built, cores searched); with limit =
+    # min(C(n,k), 2 C(n,2) + 1), delta and P by stage
     cases = [
         # 1. delta <= t holds at once; delta = t + 1 goes on
         (_pairs_graph(6, 1), LocalSpec(4, 5), False, False),
@@ -273,15 +274,19 @@ def test_gate_takes_each_stage_on_both_sides(monkeypatch):
         # 2. 4(t+1) <= k: the scan; 4(t+1) = k + 1 goes on
         (_pairs_graph(8, 2), LocalSpec(4, 6), False, False),
         (_pairs_graph(8, 2), LocalSpec(3, 3), True, True),
-        # 3. delta^(t+1) >= C(n,k): the scan, at delta^2 = 81 >= C(8,4) = 70 and
-        #    at delta = 4 >= C(4,3); delta^2 = 64 < 70 and delta = 3 < 4 go on
-        (_pairs_graph(8, 9), LocalSpec(4, 5), False, False),
+        # 3. delta^(t+1) >= limit: the scan, at delta = 4 >= C(4,3) = 4 < 13
+        #    and at delta^2 = 64 >= 2 C(8,2) + 1 = 57 < C(8,4) = 70;
+        #    delta = 3 and delta^2 = 49 go on
         (ColoredCompleteGraph(4, (0, 0, 0, 1, 1, 0)), LocalSpec(3, 3), False, False),
-        (_pairs_graph(8, 8), LocalSpec(4, 5), True, True),
+        (_pairs_graph(8, 8), LocalSpec(4, 5), False, False),
         (ColoredCompleteGraph(4, (0, 0, 1, 1, 2, 2)), LocalSpec(3, 3), True, True),
-        # 4. P^(t+1) < C(n,k): the cores, as at P = 8 above; P = 36 at delta = 8
-        #    (nine edges of one color) builds the histogram, then scans
-        (_plant_repeats(8, [(e, 0) for e in range(1, 9)]), LocalSpec(4, 5), True, False),
+        (_pairs_graph(8, 7), LocalSpec(4, 5), True, True),
+        # 4. P^(t+1) < limit: the cores, as at P = 3 and P^2 = 49 above;
+        #    one color on five edges of K_5 (P = 10 >= C(5,3) = 10 at delta
+        #    = 4), and on four edges of K_8 with two more pairs (P^2 = 64 at
+        #    delta^2 = 25) build the histogram, then scan
+        (_plant_repeats(5, [(e, 0) for e in range(1, 5)]), LocalSpec(3, 3), True, False),
+        (_plant_repeats(8, [(1, 0), (2, 0), (3, 0), (5, 4), (7, 6)]), LocalSpec(4, 5), True, False),
     ]
     for g, spec, histogram, cores in cases:
         got, built, searched = _gate_path(monkeypatch, g, spec)
@@ -290,8 +295,9 @@ def test_gate_takes_each_stage_on_both_sides(monkeypatch):
 
 
 def test_gate_builds_no_histogram_for_the_o1_scans(monkeypatch):
-    # 4(t+1) <= k and delta^(t+1) >= C(n,k) go to the scan in O(1), so a
-    # per-call statistic there would cost every monte-carlo trial
+    # 4(t+1) <= k and delta^(t+1) >= min(C(n,k), 2 C(n,2) + 1) go to the
+    # scan in O(1), so a per-call statistic there would cost every
+    # monte-carlo trial
     rng = random.Random(5150)
     stages = set()
     for _ in range(120):
@@ -302,12 +308,36 @@ def test_gate_builds_no_histogram_for_the_o1_scans(monkeypatch):
         t, delta = comb(k, 2) - ell, comb(n, 2) - g.num_colors
         if delta <= t:
             continue
-        o1 = 4 * (t + 1) <= k or delta ** (t + 1) >= comb(n, k)
+        o1 = 4 * (t + 1) <= k or delta ** (t + 1) >= min(comb(n, k), 2 * comb(n, 2) + 1)
         stages.add(o1)
         got, built, _ = _gate_path(monkeypatch, g, LocalSpec(k, ell))
         assert built == (not o1), (g, k, ell)
         assert got == brute_verdict(g, k, ell)
     assert stages == {True, False}
+
+
+def test_gate_keeps_the_cores_within_the_input_size(monkeypatch):
+    # the cores' work grows like P^(t+1), so the gate sends them no graph
+    # with P^(t+1) above 2 C(n,2); both graphs fail on the scan's first
+    # k-subsets.  200 random colors on K_200 have P near 10^6, which the
+    # cores would first build as that many pair masks: the gate scans at
+    # once, in the scan's O(k) memory.  One color on 100 edges has delta^2
+    # = 99^2 < 2 C(200,2) but P^2 = 4950^2 above it: the histogram, then
+    # the scan.
+    g = random_coloring(RandomColoringConfig(200, 200, 7))
+    tracemalloc.start()
+    try:
+        got, built, searched = _gate_path(monkeypatch, g, LocalSpec(7, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (built, searched) == (False, False)
+    holds, witness, colors = got
+    assert not holds and len(witness) == 7
+    assert colors == len({g.edge_colors[edge_index(200, u, w)] for u, w in combinations(witness, 2)}) < 20
+    assert peak < 1_000_000, peak
+    star = _plant_repeats(200, [(e, 0) for e in range(1, 100)])
+    assert _gate_path(monkeypatch, star, LocalSpec(5, 9)) == ((False, (0, 1, 2, 3, 4), 7), True, False)
 
 
 def _spread_pairs(n, count, seed):
