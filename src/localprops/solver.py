@@ -23,7 +23,8 @@ entries in a per-position list of color bits.  Every slot is written at
 one position and read later (a base slot once in each column from its
 fill on), and nothing is undone on backtrack: a read sees only slots
 written earlier on the current path, and re-entering a position
-rewrites them.
+rewrites them.  Slot ids are affine in the colex rank of U, so the table
+is built by arithmetic on ranks, with no lookup by set (_subset_checks).
 
 A color's bit either adds one to a mask's popcount or is already in it,
 so a read with mask s and bound need rejects every color when
@@ -55,9 +56,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
-from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count, edge_index
+from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count
 
 __all__ = ["SolveBudget", "FeasibleOutcome", "SolveResult", "feasible", "min_colors"]
 
@@ -131,45 +132,62 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     likeliest to reject colors, so the pass that builds a position's
     allowed mask reaches an empty mask, and stops, soonest.
 
+    Slot ids are arithmetic in the colex rank r(U) = sum_m C(u_m, m+1) of
+    U = (u_0 < ... < u_{k-2}) (Knuth, TAOCP 4A, 7.2.1.3): U's base slot is
+    r(U), dense in [0, C(n-1,k-1)), and the slot its step t grows into in
+    column j is off_j + t C(j,k-1) + r(U), off_j the slots earlier columns
+    took.  Column j's new sets, V + (j-1,) for the (k-2)-subsets V of
+    range(j-1) in colex order, take the ranks from C(j-1,k-1) on; the
+    subsets completing at (i, j) are the ranks [C(i,k-1), C(i+1,k-1)).
+
     A table of C(n,k)(k-1) reads or C(n,2) positions over TABLE_LIMIT is
     refused with ValueError before anything is built.  Returns None once
-    deadline passes (checked before each position, so at every n).
+    deadline passes (checked before each position, so at every n, and
+    before each step of a column's lists, built on entering (0, j)).
     """
     size = max(math.comb(n, k) * (k - 1), edge_count(n))
     if size > TABLE_LIMIT:
         raise ValueError(f"subset table for n={n}, k={k} needs {size} entries, over the limit {TABLE_LIMIT}")
     fills, reads, grows = [], [], []  # per position, typed as in _Table
-    base: dict[tuple[int, ...], int] = {}
-    latest: dict[tuple[int, ...], int] = {}  # slot of U's latest step at this j
-    slots = 0
+    ranks = [math.comb(i, k - 1) for i in range(n)]  # ranks[i]: r(U) of the first U with max(U) = i
+    tri = [b * (b - 1) // 2 for b in range(n)]  # edge (a, b) sits at position tri[b] + a
+    base, first = [], []  # by r(U): U's base slot, and U's first read, shared by every column
+    later = [[] for _ in range(n)]  # later[i]: (k-2) r(U) + t for each U with U[t] = i, t < k-2
+    early_reads, early_grows = [], []  # [(k-2) r(U) + t]: U's read at step t < k-2 and its grow
+    last, vs = [], []  # by r(U): U's completing read in this column; the (k-2)-sets V
+    slots = math.comb(n - 1, k - 1)
     for j in range(1, n):
         for i in range(j):
             if deadline is not None and time.monotonic() > deadline:
                 return None
             fills.append(fill := [])
-            reads.append(read := [])
-            grows.append(grow := [])
-            if j < k - 1:
-                continue
-            if i == 0:
-                for rest in combinations(range(j - 1), k - 2):
-                    u_set = rest + (j - 1,)
-                    base[u_set] = slots
-                    fill.append((slots, tuple(b * (b - 1) // 2 + a for a, b in combinations(u_set, 2))))
-                    slots += 1
-            # subsets completing at this edge first: they prune the most
-            for step in range(k - 2, -1, -1):
-                need = ell - (k - 2 - step)  # k - 2 - step edges of {j} | U still open
-                for left in combinations(range(i), step):
-                    head = left + (i,)
-                    for right in combinations(range(i + 1, j), k - 2 - step):
-                        u_set = head + right
-                        prev = base[u_set] if step == 0 else latest.pop(u_set)
-                        read.append((prev, need))
-                        if right:
-                            latest[u_set] = slots
-                            grow.append((slots, prev))
-                            slots += 1
+            if i == 0 and j >= k - 1:  # U = V + (j-1,) takes rank ranks[j-1] + r(V)
+                # the (k-2)-subsets V of range(n-2) in colex order (lex order reversed, on
+                # reversed sets), built once, at the first column holding any U
+                vs = vs or [v[::-1] for v in combinations(range(n - 3, -1, -1), k - 2)][::-1]
+                lo, count = ranks[j - 1], ranks[j]
+                base += range(lo, count)
+                for r, v in zip(base[lo:], vs):
+                    fill.append((r, tuple([tri[b] + a for a, b in combinations(v + (j - 1,), 2)])))
+                    first.append((r, ell - k + 2))
+                    for x, u in enumerate(v, r * (k - 2)):
+                        later[u].append(x)
+                early_reads += [None] * ((k - 2) * (count - lo))
+                early_grows += [None] * ((k - 2) * (count - lo))
+                last, prev = first, base
+                for t in range(k - 2):  # step t grows into slot off_j + t C(j,k-1) + r(U)
+                    if deadline is not None and time.monotonic() > deadline:
+                        return None
+                    col = list(range(slots, slots + count))
+                    slots += count
+                    early_reads[t :: k - 2] = last
+                    early_grows[t :: k - 2] = zip(col, prev)
+                    last = list(zip(col, repeat(ell - k + 3 + t, count)))
+                    prev = col
+            # subsets completing at this edge (max U = i) first: they prune the most
+            reads.append(read := last[ranks[i] : ranks[i + 1]])
+            read += map(early_reads.__getitem__, later[i])
+            grows.append(list(map(early_grows.__getitem__, later[i])))
     return fills, reads, grows, slots
 
 
@@ -266,11 +284,8 @@ def feasible(
             last = cols[pos]
     if pos < m:
         return FeasibleOutcome("no", None, nodes)
-    row_major = [0] * m
-    for j in range(1, n):
-        for i in range(j):
-            row_major[edge_index(n, i, j)] = cols[j * (j - 1) // 2 + i]
-    return FeasibleOutcome("yes", ColoredCompleteGraph(n, tuple(row_major)), nodes)
+    row_major = tuple(cols[j * (j - 1) // 2 + i] for i in range(n) for j in range(i + 1, n))
+    return FeasibleOutcome("yes", ColoredCompleteGraph(n, row_major), nodes)
 
 
 def _start_level(n: int, spec: LocalSpec) -> int:

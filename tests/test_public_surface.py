@@ -25,6 +25,7 @@ KEEP = {
     "monochromatic": "the extremal example: every k-subset spans one color",
     "additive_energy": "the paper's statistic, computed from the color energy",
     "verify_isosceles_free": "checks the paper's distinct-distance construction",
+    "edge_index": "ColoredCompleteGraph's documented edge_colors layout, for colorings built by hand",
 }
 
 
