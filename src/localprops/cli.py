@@ -57,7 +57,7 @@ from .constructions import (
     random_coloring,
 )
 from .energy import bound_report, crossover_index, dyadic_bins
-from .forbidden import DetectorParams, counting_lemma_find, lemma_hypothesis_holds
+from .forbidden import TUPLE_BUDGET, DetectorParams, counting_lemma_find, lemma_hypothesis_holds
 from .io import (
     dump_json,
     load_coloring,
@@ -323,7 +323,7 @@ COMMANDS = (
         "--k": _REQUIRED_INT,
         "--m": _REQUIRED_INT,
         "--locate": {"action": "store_true", "help": "locate forbidden configs on rich-bound violations"},
-        "--tuple-budget": {"type": int, "default": 1_000_000},
+        "--tuple-budget": {"type": int, "default": TUPLE_BUDGET},
         "--format": _FORMAT,
     }),
     ("lemma-check", "search a set system for a dense d-wise intersection", _cmd_lemma_check,

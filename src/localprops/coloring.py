@@ -2,9 +2,9 @@
 
 The central object is a coloring of the complete graph K_n: one color id
 per unordered edge, stored in row-major upper-triangle order (edge (i, j)
-with i < j lives at index i*n - i*(i+1)//2 + j - i - 1; this indexing is
-shared by every module and by the JSON coloring format).  Color ids are
-dense: the ids in use are exactly 0..num_colors-1.
+with i < j lives at index edge_index(n, i, j); this indexing is shared by
+every module and by the JSON coloring format).  Color ids are dense: the
+ids in use are exactly 0..num_colors-1.
 
 A (k, ell) local property asks that every induced subgraph on k vertices
 span at least ell distinct edge colors.  The difference and distance
@@ -15,10 +15,10 @@ explicit stack of search levels, so k has no depth limit: a level with
 prefix P keeps, for every later vertex w, the mask row of the colors on
 the edges from P to w, and a child level ORs its parent's rows with one
 contiguous row slice of edge_colors (row-major storage keeps the edges
-(v, w), w > v, side by side).  A candidate's color count is then one
-bit_count().  A level checks its first candidate bit by bit and builds
-its rows only once it moves past it, so a scan that fails on its first
-k-subset costs O(k^2) lookups.
+(v, w), w > v, side by side, at _row_at(n)[v] + w).  A candidate's color
+count is then one bit_count().  A level checks its first candidate bit
+by bit and builds its rows only once it moves past it, so a scan that
+fails on its first k-subset costs O(k^2) lookups.
 
 Before the scan comes a repeat budget, the exact local form of the
 color energy below.  The deficiency of a vertex set S, C(|S|,2) minus
@@ -51,11 +51,12 @@ alone.  With delta = C(n,2) - num_colors and limit = min(C(n,k),
 and the scan's first k-subsets show where), scans if delta^(t+1) >=
 limit (P >= delta, so the cores are not taken; decided in O(1), with
 no histogram), and otherwise reads P off color_histogram and searches
-the cores when P^(t+1) < limit.  The second term of limit keeps the
-cores' work and memory within a constant times the C(n,2) colors the
-input already holds: a graph that fails may fail on the scan's first
-k-subsets, so C(n,k) alone does not bound what the cores may cost
-against the scan.
+the cores when P^(t+1) < limit.  Both powers cap the exponent at
+limit.bit_length(), deciding the same: past it, a base >= 2 exceeds
+limit either way.  The second term of limit keeps the cores' work and
+memory within a constant times the C(n,2) colors the input already
+holds: a graph that fails may fail on the scan's first k-subsets, so
+C(n,k) alone does not bound what the cores may cost against the scan.
 
 The color energy sum(m_c^2), i.e. the number of ordered pairs of
 unordered edges sharing a color, is the second-moment statistic that
@@ -72,6 +73,7 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations, compress, repeat, starmap
 from math import comb
 
@@ -100,6 +102,13 @@ def edge_index(n: int, i: int, j: int) -> int:
     if not 0 <= i < j < n:
         raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
     return i * n - i * (i + 1) // 2 + j - i - 1
+
+
+@lru_cache(maxsize=32)
+def _row_at(n: int) -> tuple[int, ...]:
+    """at[u] + w = edge_index(n, u, w) for u < w: O(n) ints, not a C(n,2)
+    table per edge, cached per n as forbidden._endpoints is."""
+    return tuple(u * n - u * (u + 1) // 2 - u - 1 for u in range(n))
 
 
 @dataclass(frozen=True)
@@ -220,23 +229,22 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
 
     The scan runs on the int-bitmask mask rows the module docstring
     describes, with no limit on k.  Edge (u, w), u < w, is
-    edge_colors[at(u) + w] with at(u) = u*n - u*(u+1)//2 - u - 1.  A
-    level (colors, start, base, base_lo, pend) extends the prefix
-    path[:depth - 1] by each candidate v >= start; the mask row of a
-    vertex w >= start is base[w - base_lo] ORed with the color bits of
-    the edges from pending = path[pend:depth - 1] (the tail of the prefix
-    that base does not cover yet) to w.  The stack holds the levels
-    waiting below a candidate, each resumed past that candidate, and
-    path is the one list of chosen vertices they share, so the scan
-    state beyond the mask rows is O(k).
+    edge_colors[at[u] + w] with at = _row_at(n).  A level (colors, start,
+    base, base_lo, pend) extends the prefix path[:depth - 1] by each
+    candidate v >= start; the mask row of a vertex w >= start is
+    base[w - base_lo] ORed with the color bits of the edges from pending =
+    path[pend:depth - 1] (the tail of the prefix that base does not cover
+    yet) to w.  The stack holds the levels waiting below a candidate, each
+    resumed past that candidate, and path is the one list of chosen
+    vertices they share, so the scan state beyond the mask rows is O(k).
 
     First comes the gate the module docstring sets out, with t =
     spec.repeat_budget, delta = C(n,2) - num_colors and limit =
     min(C(n,k), 2 C(n,2) + 1): holds with no scan when delta <= t; the
     scan when 4(t+1) <= k or delta^(t+1) >= limit; otherwise P
     same-colored edge pairs from one color_histogram, and _repeat_cores
-    decides when P^(t+1) < limit.  Both paths give the same verdict,
-    witness and witness_colors.
+    decides when P^(t+1) < limit (exponents capped at limit.bit_length()).
+    Both paths give the same verdict, witness and witness_colors.
     """
     n, k, ell, edge_colors = G.n, spec.k, spec.ell, G.edge_colors
     if k > n:
@@ -247,11 +255,13 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         return PropertyVerdict(True)
     if 4 * (t + 1) > k:
         limit = min(comb(n, k), 2 * len(edge_colors) + 1)
-        if not _power_reaches(deficiency, t + 1, limit):
+        e = min(t + 1, limit.bit_length())  # base**e < limit iff base**(t+1) < limit
+        if deficiency**e < limit:
             histogram = color_histogram(G)
             pairs = sum(m * (m - 1) for m in histogram.values()) // 2
-            if not _power_reaches(pairs, t + 1, limit):
+            if pairs**e < limit:
                 return _repeat_cores(G, spec, histogram)
+    at = _row_at(n)
     bit = [1 << c for c in range(G.num_colors)].__getitem__
     or_ = operator.or_
     path, stack = [0] * k, []
@@ -262,7 +272,7 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
             # the first candidate, bit by bit; its child inherits base and pending
             row = base[start - base_lo]
             for u in pending:
-                row |= 1 << edge_colors[u * n - u * (u + 1) // 2 - u - 1 + start]
+                row |= 1 << edge_colors[at[u] + start]
             grown = colors | row
             count = grown.bit_count()
             if count < ell:
@@ -290,8 +300,7 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
             # moving past the first candidate: the mask rows of lo..n-1
             rows = base[lo - base_lo :]
             for u in pending:
-                at = u * n - u * (u + 1) // 2 - u - 1
-                rows = map(or_, rows, map(bit, edge_colors[at + lo : at + n]))
+                rows = map(or_, rows, map(bit, edge_colors[at[u] + lo : at[u] + n]))
             if depth == k:
                 for v, row in zip(range(lo, n), rows):
                     row |= colors
@@ -316,23 +325,11 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         for v in range(lo, stop):
             grown = colors | base[v - base_lo]
             if grown.bit_count() < ell:
-                at = v * n - v * (v + 1) // 2 - v - 1
-                leaves = map(or_, base[v + 1 - base_lo :], map(bit, edge_colors[at + v + 1 : at + n]))
+                leaves = map(or_, base[v + 1 - base_lo :], map(bit, edge_colors[at[v] + v + 1 : at[v] + n]))
                 for w, row in zip(range(v + 1, n), leaves):
                     row |= grown
                     if row.bit_count() < ell:
                         return PropertyVerdict(False, (*path[: k - 2], v, w), row.bit_count())
-
-
-def _power_reaches(base: int, exp: int, target: int) -> bool:
-    """base ** exp >= target, for base >= exp >= 1, as a product capped at
-    target: at most target.bit_length() factors, however large exp is."""
-    power = 1
-    for _ in range(exp):
-        power *= base
-        if power >= target:
-            return True
-    return False
 
 
 def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) -> PropertyVerdict:
@@ -342,16 +339,17 @@ def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) 
     A core is the vertex mask of one same-colored pair, each distinct
     mask once, ascending; for k < 4 only the pairs with a common end,
     since the others have 4 vertices.  Only the edges in a repeated
-    group get a mask, found from the row starts by bisection.  One loop
-    over an explicit stack grows unions T of at most t+1 cores in index
-    order.  A core that adds no vertex is skipped (the union without it
-    is reached with one more core to spare), and a union stops growing
-    at k vertices.  A union whose induced deficiency exceeds t gives
-    the candidate L(T), and a union whose L(T) is no less than the best
+    group get a mask, found by bisection in _row_at(n)'s row starts.  One
+    loop over an explicit stack grows unions T of at most t+1 cores in index
+    order.  A core that adds no vertex is skipped (the union without it is
+    reached with one more core to spare), and a union stops growing at k
+    vertices.  A union whose induced deficiency exceeds t gives the
+    candidate L(T), and a union whose L(T) is no less than the best
     candidate so far is cut: every union grown from it has an L no less.
     """
     n, k, t, edge_colors = G.n, spec.k, spec.repeat_budget, G.edge_colors
-    starts = [u * n - u * (u + 1) // 2 for u in range(n)]  # edge (u, u+1)
+    at = _row_at(n)
+    starts = list(map(operator.add, at, range(1, n + 1)))  # edge (u, u+1)
     if k >= 4:  # group the edges by color
         keys, counts = edge_colors, histogram
     else:  # by end and color, so that only pairs with a common end are formed
@@ -364,7 +362,7 @@ def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) 
     for i in compress(range(len(keys)), map(groups.__contains__, keys)):
         e = i % len(edge_colors)
         u = bisect_right(starts, e) - 1
-        groups[keys[i]].append(1 << u | 1 << (e - starts[u] + u + 1))
+        groups[keys[i]].append(1 << u | 1 << (e - at[u]))
     cores = sorted(set(chain.from_iterable(starmap(operator.or_, combinations(g, 2)) for g in groups.values())))
 
     def vertices(mask):
@@ -381,9 +379,7 @@ def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) 
         return mask
 
     def colors(mask):
-        return len(
-            {edge_colors[u * n - u * (u + 1) // 2 - u - 1 + w] for u, w in combinations(vertices(mask), 2)}
-        )
+        return len({edge_colors[at[u] + w] for u, w in combinations(vertices(mask), 2)})
 
     best = 0  # the vertex mask of the least L(T) so far
     stack = [(0, 0, 0)]  # (union, index of its next core, cores in it)

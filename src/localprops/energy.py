@@ -22,6 +22,7 @@ from itertools import accumulate
 
 from .coloring import ColoredCompleteGraph, _require_ints, color_histogram
 from .forbidden import (
+    TUPLE_BUDGET,
     BudgetExceededError,
     DetectorParams,
     _support_masks,
@@ -114,7 +115,7 @@ def bound_report(
     G: ColoredCompleteGraph,
     p: DetectorParams,
     locate: bool = False,
-    tuple_budget: int | None = 1_000_000,
+    tuple_budget: int | None = TUPLE_BUDGET,
 ) -> list[BoundRow]:
     """Per-j table comparing k_j against the poor and rich bounds.
 

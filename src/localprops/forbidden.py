@@ -39,6 +39,8 @@ __all__ = [
     "lemma_hypothesis_holds",
 ]
 
+TUPLE_BUDGET = 1_000_000  # b-tuples popular_intersection_search scans by default
+
 
 class BudgetExceededError(RuntimeError):
     """A combinatorial scan would exceed its configured tuple budget."""
@@ -135,7 +137,7 @@ def popular_intersection_search(
     G: ColoredCompleteGraph,
     j: int,
     p: DetectorParams,
-    tuple_budget: int | None = 1_000_000,
+    tuple_budget: int | None = TUPLE_BUDGET,
 ) -> PopularHit | None:
     """Search b-tuples of colors appearing >= 2^j times for a common
     support of size >= a.

@@ -68,6 +68,35 @@ def test_min_colors_matches_partition_oracle_small():
             assert verify_local_property(res.certificate, LocalSpec(k, ell)).holds
 
 
+def _closed_form(n, k, ell):
+    """f(n, k, ell) where it is known past brute force, for n <= 12."""
+    if ell == 1:
+        return 1
+    if (k, ell) == (3, 3):  # every triangle rainbow: a proper edge coloring, chi'(K_n)
+        return n if n % 2 else n - 1
+    if (k, ell) == (3, 2):  # R(3,3) = 6 and R(3,3,3) = 17
+        return 2 if n <= 5 else 3
+    if (k, ell) == (4, 2):  # R(4,4) = 18
+        return 2
+    return comb(n, 2)  # ell = C(k,2), k >= 4: any two edges lie in some k-set
+
+
+def test_min_colors_never_contradicts_the_closed_forms():
+    # a second judge past the partition oracle's n <= 5: an optimal value
+    # equals the closed form, and any other result brackets it
+    specs = [(k, 1) for k in (3, 4, 5)] + [(3, 3), (3, 2), (4, 2), (4, 6), (5, 10)]
+    for (k, ell), n in product(specs, range(3, 13)):
+        if n < k:
+            continue
+        res = min_colors(n, LocalSpec(k, ell), SolveBudget(node_limit=20_000))
+        want = _closed_form(n, k, ell)
+        if res.status == "optimal":
+            assert res.value == want, (n, k, ell, res.value)
+        else:
+            assert res.lower_bound <= want, (n, k, ell, res.status, res.lower_bound)
+            assert res.value is None or want <= res.value, (n, k, ell, res.status, res.value)
+
+
 def test_feasible_matches_partition_oracle_at_every_level():
     # every level, not just the optimum: yes exactly from the oracle's
     # value upward, and each certificate passes the unpruned scan
