@@ -15,10 +15,13 @@ explicit stack of search levels, so k has no depth limit: a level with
 prefix P keeps, for every later vertex w, the mask row of the colors on
 the edges from P to w, and a child level ORs its parent's rows with one
 contiguous row slice of edge_colors (row-major storage keeps the edges
-(v, w), w > v, side by side, at _row_at(n)[v] + w).  A candidate's color
-count is then one bit_count().  A level checks its first candidate bit
-by bit and builds its rows only once it moves past it, so a scan that
-fails on its first k-subset costs O(k^2) lookups.
+(v, w), w > v, side by side, at _row_at(n)[v] + w).  Each edge's color
+bit, 1 << color, is shifted as its row slice is read; no per-color table
+is built, so the scan's setup is O(k + n) whatever num_colors is, and
+its memory is the mask rows alone.  A candidate's color count is then
+one bit_count().  A level checks its first candidate bit by bit and
+builds its rows only once it moves past it, so a scan that fails on its
+first k-subset costs O(k^2) lookups.
 
 Before the scan comes a repeat budget, the exact local form of the
 color energy below.  The deficiency of a vertex set S, C(|S|,2) minus
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat, starmap
@@ -204,8 +207,7 @@ class LocalSpec:
         object.__setattr__(self, "repeat_budget", pairs - self.ell)
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness witness_colors", defaults=(None, None))):
     """Outcome of a local-property check.
 
     When holds is False, witness is the lexicographically least failing
@@ -213,9 +215,7 @@ class PropertyVerdict:
     difference) count, which is then < ell.
     """
 
-    holds: bool
-    witness: tuple | None = None
-    witness_colors: int | None = None
+    __slots__ = ()
 
 
 def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyVerdict:
@@ -234,9 +234,11 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     candidate v >= start; the mask row of a vertex w >= start is
     base[w - base_lo] ORed with the color bits of the edges from pending =
     path[pend:depth - 1] (the tail of the prefix that base does not cover
-    yet) to w.  The stack holds the levels waiting below a candidate, each
-    resumed past that candidate, and path is the one list of chosen
-    vertices they share, so the scan state beyond the mask rows is O(k).
+    yet) to w, each bit shifted from its color id as the edge is read, with
+    no per-color bit table.  The stack holds the levels waiting below a
+    candidate, each resumed past that candidate, and path is the one list
+    of chosen vertices they share, so the scan state beyond the mask rows
+    is O(k).
 
     First comes the gate the module docstring sets out, with t =
     spec.repeat_budget, delta = C(n,2) - num_colors and limit =
@@ -262,8 +264,7 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
             if pairs**e < limit:
                 return _repeat_cores(G, spec, histogram)
     at = _row_at(n)
-    bit = [1 << c for c in range(G.num_colors)].__getitem__
-    or_ = operator.or_
+    or_, lshift = operator.or_, operator.lshift
     path, stack = [0] * k, []
     colors, start, base, base_lo, pend, pending = 0, 0, [0] * n, 0, 0, []
     depth, entering = 1, True
@@ -300,7 +301,7 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
             # moving past the first candidate: the mask rows of lo..n-1
             rows = base[lo - base_lo :]
             for u in pending:
-                rows = map(or_, rows, map(bit, edge_colors[at[u] + lo : at[u] + n]))
+                rows = map(or_, rows, map(lshift, repeat(1), edge_colors[at[u] + lo : at[u] + n]))
             if depth == k:
                 for v, row in zip(range(lo, n), rows):
                     row |= colors
@@ -325,7 +326,8 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         for v in range(lo, stop):
             grown = colors | base[v - base_lo]
             if grown.bit_count() < ell:
-                leaves = map(or_, base[v + 1 - base_lo :], map(bit, edge_colors[at[v] + v + 1 : at[v] + n]))
+                bits = map(lshift, repeat(1), edge_colors[at[v] + v + 1 : at[v] + n])
+                leaves = map(or_, base[v + 1 - base_lo :], bits)
                 for w, row in zip(range(v + 1, n), leaves):
                     row |= grown
                     if row.bit_count() < ell:

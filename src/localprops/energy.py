@@ -17,7 +17,7 @@ bin_count[j] * 2^(2j+2) to sum(m_c^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .coloring import ColoredCompleteGraph, _require_ints, color_histogram
@@ -73,15 +73,12 @@ def crossover_index(n: int, p: DetectorParams) -> int:
     return (rhs.bit_length() - 1) // b
 
 
-@dataclass(frozen=True)
-class DyadicProfile:
+class DyadicProfile(namedtuple("DyadicProfile", "bin_count cum_count crossover")):
     """Per-exponent color counts: bin_count[j] colors with multiplicity in
     [2^j, 2^(j+1)), cum_count[j] colors with multiplicity >= 2^j, and the
     crossover index separating the poor- and rich-bound regimes."""
 
-    bin_count: tuple[int, ...]
-    cum_count: tuple[int, ...]
-    crossover: int
+    __slots__ = ()
 
 
 def dyadic_profile(G: ColoredCompleteGraph, p: DetectorParams) -> DyadicProfile:
@@ -92,23 +89,27 @@ def _profile(bins: tuple[int, ...], n: int, p: DetectorParams) -> DyadicProfile:
     return DyadicProfile(bins, tuple(accumulate(reversed(bins)))[::-1], crossover_index(n, p))
 
 
-@dataclass(frozen=True)
-class BoundRow:
+_BOUND_FIELDS = (
+    "j",
+    "bin_count",
+    "cum_count",
+    "poor_bound",  # n^2 / 2^j
+    "rich_bound",  # 2 n^b b^(b+1) a^b / 2^(jb)
+    "poor_ok",
+    "rich_regime",  # j > crossover
+    "rich_ok",
+    "remark_zone",  # 2^j within one dyadic step of n^((b-1)/b)
+    "min_support",  # smallest |V_c| among colors with m_c >= 2^j
+    "support_bound",  # 2^(j+1) / (ba - b)
+    "located",
+)
+
+
+class BoundRow(namedtuple("BoundRow", _BOUND_FIELDS, defaults=(None,))):
     """One dyadic exponent's counts, bounds (exact rationals as numerator/
     denominator pairs), flags, and optionally located configurations."""
 
-    j: int
-    bin_count: int
-    cum_count: int
-    poor_bound: tuple[int, int]  # n^2 / 2^j
-    rich_bound: tuple[int, int]  # 2 n^b b^(b+1) a^b / 2^(jb)
-    poor_ok: bool
-    rich_regime: bool  # j > crossover
-    rich_ok: bool
-    remark_zone: bool  # 2^j within one dyadic step of n^((b-1)/b)
-    min_support: int | None  # smallest |V_c| among colors with m_c >= 2^j
-    support_bound: tuple[int, int]  # 2^(j+1) / (ba - b)
-    located: tuple | None = None
+    __slots__ = ()
 
 
 def bound_report(

@@ -18,7 +18,7 @@ cross-multiplied integers, never floats.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
@@ -125,12 +125,10 @@ def _support_masks(G: ColoredCompleteGraph) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class PopularHit:
+class PopularHit(namedtuple("PopularHit", "colors vertices")):
     """b colors of multiplicity >= 2^j whose supports share >= a vertices."""
 
-    colors: tuple[int, ...]
-    vertices: frozenset[int]
+    __slots__ = ()
 
 
 def popular_intersection_search(

@@ -119,6 +119,24 @@ def test_verify_local_property_has_no_depth_limit():
     assert peak < 1_000_000, peak
 
 
+def test_scan_memory_does_not_grow_with_the_color_count():
+    # 60,837 colors on K_450, failing within the first rows: each edge's
+    # color bit is shifted as the scan reads it, so the scan holds only its
+    # mask rows, not a bit per color (a table of 1 << c for every color
+    # would hold about num_colors^2 / 16 bytes, over 200 MB here)
+    g = random_coloring(RandomColoringConfig(450, 90_000, 1))
+    assert g.num_colors == 60_837
+    spec = LocalSpec(4, 6)
+    tracemalloc.start()
+    try:
+        v = verify_local_property(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.holds, v.witness, v.witness_colors) == brute_verdict(g, 4, 6) == (False, (0, 1, 2, 81), 5)
+    assert peak < 2_000_000, peak
+
+
 def _plant_repeats(n, plants):
     """A rainbow K_n in which, for each (a, b), edge a takes edge b's color."""
     colors = list(range(comb(n, 2)))

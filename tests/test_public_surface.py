@@ -6,6 +6,8 @@ under perfbench/, or it is kept on purpose, with its reason in KEEP.  A
 result type counts as used through the public function that returns it.
 The package re-exports exactly the library modules' __all__ names, by
 one star import per module, so each __all__ is the only list of them.
+The per-call result records are named tuples with fixed fields,
+defaults and repr, immutable and compared and hashed by value.
 """
 
 import ast
@@ -91,3 +93,60 @@ def test_every_kept_name_is_public_and_otherwise_unused():
     for name in KEEP:
         module = next(m for m in [*LIBRARY, "io"] if name in importlib.import_module(f"localprops.{m}").__all__)
         assert name not in _users(module), f"{name} is used; it needs no KEEP entry"
+
+
+def _records():
+    """One value of each per-call result record, from the public call that
+    returns it, with the fields, defaults and repr callers rely on, by name."""
+    p = localprops.DetectorParams(3, 2)
+    mono = localprops.monochromatic(14)
+    two = localprops.ColoredCompleteGraph.from_sparse(6, [c % 2 for c in range(15)])
+    located = tuple((v, 0) for v in range(14))
+    return dict(
+        verdict=(
+            localprops.verify_local_property(localprops.monochromatic(4), localprops.LocalSpec(3, 2)),
+            ("holds", "witness", "witness_colors"),
+            {"witness": None, "witness_colors": None},
+            "PropertyVerdict(holds=False, witness=(0, 1, 2), witness_colors=1)",
+        ),
+        profile=(
+            localprops.dyadic_profile(mono, p),
+            ("bin_count", "cum_count", "crossover"),
+            {},
+            "DyadicProfile(bin_count=(0, 0, 0, 0, 0, 0, 1), cum_count=(1, 1, 1, 1, 1, 1, 1), crossover=3)",
+        ),
+        row=(
+            localprops.bound_report(mono, p, locate=True, tuple_budget=10)[-1],
+            (
+                "j", "bin_count", "cum_count", "poor_bound", "rich_bound", "poor_ok", "rich_regime",
+                "rich_ok", "remark_zone", "min_support", "support_bound", "located",
+            ),
+            {"located": None},
+            "BoundRow(j=6, bin_count=1, cum_count=1, poor_bound=(196, 64), rich_bound=(3136, 4096), "
+            "poor_ok=True, rich_regime=True, rich_ok=False, remark_zone=False, min_support=14, "
+            f"support_bound=(128, 0), located=({located!r}, None))",
+        ),
+        hit=(
+            localprops.popular_intersection_search(two, 1, p),
+            ("colors", "vertices"),
+            {},
+            "PopularHit(colors=(0, 1), vertices=frozenset({0, 1, 2, 3, 4, 5}))",
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", ["verdict", "profile", "row", "hit"])
+def test_result_records_keep_their_contract(name):
+    # a named tuple: immutable, no instance dict, equal and hashed by value
+    value, fields, defaults, text = _records()[name]
+    record = type(value)
+    assert record is getattr(localprops, record.__name__)
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], None)
+    with pytest.raises(AttributeError):
+        value.extra = None  # no instance dict
+    twin = record(*value)
+    assert twin == value and hash(twin) == hash(value) and twin == tuple(value)
