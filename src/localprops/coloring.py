@@ -119,7 +119,7 @@ class ColoredCompleteGraph:
     """A complete graph on n vertices with one color id per edge.
 
     edge_colors[edge_index(n, i, j)] is the color of edge (i, j).  Color
-    ids must be dense; use from_sparse() to normalize arbitrary ids.
+    ids must be dense ints; use from_sparse() to normalize arbitrary ids.
     """
 
     n: int
@@ -129,6 +129,7 @@ class ColoredCompleteGraph:
     def __post_init__(self) -> None:
         colors = tuple(self.edge_colors)
         _check_shape(self.n, len(colors))
+        _require_ints(colors, "color ids")  # every id: True equals 1 but is refused
         object.__setattr__(self, "edge_colors", colors)
         used = set(colors)
         if used != set(range(len(used))):
@@ -144,7 +145,7 @@ class ColoredCompleteGraph:
         Ids are remapped to 0..num_colors-1 in ascending order of the
         original ids, so equal inputs always normalize identically.  The
         shape is checked as in direct construction; the remapped ids are
-        dense by construction, so they are not checked again.
+        dense ints by construction, so they are not checked again.
         """
         colors = list(colors)
         _check_shape(n, len(colors))
@@ -182,8 +183,9 @@ def _check_shape(n, count: int) -> None:
 
 
 def _require_ints(values, what: str) -> None:
-    """Refuse anything but ints proper, as the JSON loaders do: bool is an
-    int subclass, and floats or strings would be truncated or parsed."""
+    """Refuse anything but ints proper: bool is an int subclass, and floats
+    or strings would be truncated or parsed.  The one int test in the
+    library, for library calls and JSON files alike."""
     for v in values:
         if type(v) is not int:
             raise ValueError(f"{what} must be integers, got {v!r}")

@@ -174,7 +174,7 @@ def popular_intersection_search(
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Subsets of a universe {0..n-1} with an intersection arity d."""
+    """Subsets of a universe {0..n-1} with an intersection arity d, all ints."""
 
     n: int
     sets: tuple[frozenset[int], ...]
@@ -186,7 +186,9 @@ class SetSystem:
             raise ValueError("universe must be nonempty")
         if self.d < 2:
             raise ValueError("intersection arity d must be at least 2")
-        sets = tuple(frozenset(s) for s in self.sets)
+        sets = tuple(map(tuple, self.sets))
+        _require_ints(chain.from_iterable(sets), "set elements")
+        sets = tuple(map(frozenset, sets))
         if not sets:
             raise ValueError("need at least one set")
         object.__setattr__(self, "sets", sets)

@@ -7,8 +7,11 @@ integer set   a sorted array of integers, or a certificate object
 point set     an array of [x, y] integer pairs.
 set system    {"n": int, "sets": [[int, ...], ...], "d": int}.
 
-Integer fields are checked with `type(v) is int`: JSON true/false load
-as bool, an int subclass, and are rejected wherever an integer is due.
+Loaders check shape and constructors check values.  A loader checks
+structure, required fields, [x, y] pairs, and "colors" as ints (from_sparse
+takes any hashable ids); the constructor it calls checks every value, and
+those errors carry no file path.  JSON true/false load as bool, an int
+subclass, and are refused wherever an integer is due.
 
 Writers emit canonical bytes (sorted keys, fixed separators, trailing
 newline) so identical data always produces identical files.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .coloring import ColoredCompleteGraph, edge_count
+from .coloring import ColoredCompleteGraph, _require_ints
 from .forbidden import SetSystem
 from .numbersets import integer_set, point_set
 
@@ -52,16 +55,11 @@ def load_coloring(path) -> ColoredCompleteGraph:
     data = _read(path)
     if not isinstance(data, dict) or "n" not in data or "colors" not in data:
         raise ValueError(f"{path}: coloring files need 'n' and 'colors' fields")
-    n, colors = data["n"], data["colors"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"{path}: 'n' must be a positive integer")
-    if not isinstance(colors, list) or not all(type(c) is int for c in colors):
+    colors = data["colors"]
+    if not isinstance(colors, list):
         raise ValueError(f"{path}: 'colors' must be an array of integers")
-    if len(colors) != edge_count(n):
-        raise ValueError(
-            f"{path}: expected {edge_count(n)} colors for n={n}, got {len(colors)}"
-        )
-    return ColoredCompleteGraph.from_sparse(n, colors)
+    _require_ints(colors, f"{path}: 'colors'")
+    return ColoredCompleteGraph.from_sparse(data["n"], colors)
 
 
 def save_coloring(path, G: ColoredCompleteGraph) -> None:
@@ -72,7 +70,7 @@ def load_integer_set(path) -> tuple[int, ...]:
     data = _read(path)
     if isinstance(data, dict) and "set" in data:
         data = data["set"]
-    if not isinstance(data, list) or not all(type(v) is int for v in data):
+    if not isinstance(data, list):
         raise ValueError(f"{path}: integer-set files are arrays of integers")
     return integer_set(data)
 
@@ -83,13 +81,7 @@ def save_integer_set(path, values) -> None:
 
 def load_point_set(path) -> tuple[tuple[int, int], ...]:
     data = _read(path)
-    ok = isinstance(data, list) and all(
-        isinstance(p, list)
-        and len(p) == 2
-        and all(type(v) is int for v in p)
-        for p in data
-    )
-    if not ok:
+    if not isinstance(data, list) or not all(isinstance(p, list) and len(p) == 2 for p in data):
         raise ValueError(f"{path}: point-set files are arrays of [x, y] int pairs")
     return point_set(data)
 
@@ -102,11 +94,7 @@ def load_set_system(path) -> SetSystem:
     data = _read(path)
     if not isinstance(data, dict) or not {"n", "sets", "d"} <= set(data):
         raise ValueError(f"{path}: set-system files need 'n', 'sets' and 'd'")
-    n, sets, d = data["n"], data["sets"], data["d"]
-    if type(n) is not int or type(d) is not int:
-        raise ValueError(f"{path}: 'n' and 'd' must be integers")
-    if not isinstance(sets, list) or not all(
-        isinstance(s, list) and all(type(v) is int for v in s) for s in sets
-    ):
+    sets = data["sets"]
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise ValueError(f"{path}: 'sets' must be an array of integer arrays")
-    return SetSystem(n, tuple(frozenset(s) for s in sets), d)
+    return SetSystem(data["n"], sets, data["d"])

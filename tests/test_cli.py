@@ -55,6 +55,25 @@ def test_boolean_ids_in_input_exit_2_without_traceback(tmp_path):
         assert "integer" in proc.stderr
 
 
+def test_non_integer_values_in_input_exit_2_with_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    cases = [
+        ("verify-coloring", {"n": 3, "colors": [0.0, 0.0, 1.0]}, f"{bad}: 'colors' must be integers, got 0.0"),
+        ("verify-coloring", {"n": 3, "colors": [0, 1, True]}, f"{bad}: 'colors' must be integers, got True"),
+        ("lemma-check", {"n": 5, "sets": [[0, 1.5]], "d": 2}, "set elements must be integers, got 1.5"),
+        ("lemma-check", {"n": 5, "sets": [["a"]], "d": 2}, "set elements must be integers, got 'a'"),
+        ("lemma-check", {"n": 5, "sets": [[0, [1]]], "d": 2}, "set elements must be integers, got [1]"),
+        ("verify-distances", [[0, 0], [1, [2]]], "point coordinates must be integers, got [2]"),
+        ("verify-diffset", [1, [2]], "set elements must be integers, got [2]"),
+    ]
+    for command, data, message in cases:
+        bad.write_text(json.dumps(data))
+        spec = [] if command == "lemma-check" else ["--k", "2", "--ell", "1"]
+        assert cli.main([command, "--input", str(bad), *spec]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"localprops: error: {message}\n")
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

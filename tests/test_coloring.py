@@ -51,9 +51,15 @@ def test_graph_validation():
         ColoredCompleteGraph(3, (0, 0))  # wrong length
     with pytest.raises(ValueError):
         ColoredCompleteGraph(3, (0, 0, 2))  # sparse ids
+    # floats equal to 0 and 1 and a True beside a 1 pass the density test,
+    # so every id is checked, not only the distinct ones
+    for colors in ((0.0, 0.0, 1.0), (0, 1, True), (0, 1, 1.0), (False, 0, 1), (0, 1, "2")):
+        with pytest.raises(ValueError, match="^color ids must be integers, got "):
+            ColoredCompleteGraph(3, colors)
     g = ColoredCompleteGraph.from_sparse(3, (5, 5, 9))
     assert g.edge_colors == (0, 0, 1)
     assert g.num_colors == 2
+    assert ColoredCompleteGraph.from_sparse(3, ("b", "a", "b")).edge_colors == (1, 0, 1)  # any hashable ids
     assert ColoredCompleteGraph(1, ()).num_colors == 0
 
 
@@ -588,6 +594,9 @@ def test_vertex_permutation_is_exhaustive_on_small_graph():
     base = verify_local_property(g, spec).holds
     for perm in permutations(range(4)):
         assert verify_local_property(permute_vertices(g, perm), spec).holds == base
+    for perm in ((0, 1, 2), (0, 1, 2, 2), (1, 2, 3, 4), (0, 0, 1, 2)):
+        with pytest.raises(ValueError, match="^perm must be a bijection on 0..n-1$"):
+            permute_vertices(g, perm)
 
 
 def test_high_multiplicity_color_forces_failure():

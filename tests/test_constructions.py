@@ -243,6 +243,9 @@ def test_color_budget_examples():
         expect = isqrt(n) if isqrt(n) ** 2 == n else isqrt(n) + 1
         assert color_budget(n, LocalSpec(3, 2)) == expect
     assert color_budget(7, LocalSpec(2, 1)) == 1  # zero exponent
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            color_budget(n, LocalSpec(3, 2))
 
 
 def test_color_budget_is_least_integer_root():

@@ -180,6 +180,9 @@ def test_popular_intersection_search_takes_only_ints():
         with pytest.raises(ValueError, match="integers"):
             popular_intersection_search(g, j, p, budget)
     assert popular_intersection_search(g, 0, p, None) is None
+    for j in (-1, -5):
+        with pytest.raises(ValueError, match="^j must be nonnegative$"):
+            popular_intersection_search(g, j, p, None)
     # a negative budget is an int: no tuple fits in it
     with pytest.raises(BudgetExceededError):
         popular_intersection_search(g, 0, p, -1)
@@ -231,6 +234,9 @@ def test_set_system_validation():
         SetSystem(4, (frozenset({0, 4}),), 2)
     with pytest.raises(ValueError):
         SetSystem(4, (frozenset({0}),), 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^universe must be nonempty$"):
+            SetSystem(n, (frozenset({0}),), 2)
     inst = SetSystem(4, (frozenset({0, 1}), frozenset({1})), 2)
     assert inst.min_size == 1
 
@@ -239,6 +245,13 @@ def test_set_system_takes_only_int_n_and_d():
     for n, d in ((3.0, 2), (True, 2), (4, 2.0), (4, True)):
         with pytest.raises(ValueError, match="integers"):
             SetSystem(n, (frozenset({0}),), d)
+    # elements too, each checked before any set is built: True equals 1, and
+    # a list inside a set is unhashable
+    for sets in (({True, 2},), ({1.5},), ({"a"},), ([0, [1]],), ([0], (1, 2.0))):
+        with pytest.raises(ValueError, match="^set elements must be integers, got "):
+            SetSystem(5, sets, 2)
+    # sets is read once, so a generator of sets works
+    assert SetSystem(5, (s for s in ([0, 1], [2])), 2).sets == (frozenset({0, 1}), frozenset({2}))
 
 
 def test_counting_lemma_examples():

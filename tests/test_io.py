@@ -67,11 +67,19 @@ def test_loaders_reject_json_booleans_as_integers(tmp_path):
         (load_point_set, [[0, 0], [True, 1]]),
         (load_set_system, {"n": True, "sets": [[0]], "d": 1}),
         (load_set_system, {"n": 3, "sets": [[0]], "d": False}),
-        (load_set_system, {"n": 3, "sets": [[0, True]], "d": 1}),
+        (load_set_system, {"n": 3, "sets": [[0, True]], "d": 2}),
+        # nor are floats, strings or nested arrays, which the constructors refuse
+        (load_coloring, {"n": 3, "colors": [0.0, 0.0, 1.0]}),
+        (load_coloring, {"n": 3.0, "colors": [0, 1, 2]}),
+        (load_set_system, {"n": 5, "sets": [[0, 1.5]], "d": 2}),
+        (load_set_system, {"n": 5, "sets": [["a"]], "d": 2}),
+        (load_set_system, {"n": 5, "sets": [[0, [1]]], "d": 2}),
+        (load_point_set, [[0, 0], [1, [2]]]),
+        (load_integer_set, [1, [2]]),
     ]
     for loader, data in cases:
         f.write_text(json.dumps(data))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integers"):
             loader(f)
 
 

@@ -88,6 +88,9 @@ def test_difference_color_graph_examples():
             hist[c] = hist.get(c, 0) + 1
         # color ids ascend with the difference value d = id + 1
         assert all(hist[d - 1] == n - d for d in range(1, n))
+    for values in ([], [4], [4, 4]):
+        with pytest.raises(ValueError, match="^need at least two elements$"):
+            difference_color_graph(values)
 
 
 def test_distance_color_graph_examples():
@@ -97,6 +100,9 @@ def test_distance_color_graph_examples():
     assert distance_color_graph([(0, 0), (1, 0), (3, 0), (7, 0)]).num_colors == 6
     with pytest.raises(ValueError):
         distance_color_graph([(0, 0), (0, 0)])
+    for points in ([], [(3, 4)]):
+        with pytest.raises(ValueError, match="^need at least two points$"):
+            distance_color_graph(points)
 
 
 def test_reduction_soundness_differences():
@@ -250,6 +256,9 @@ def test_min_difference_set_infeasible_and_budget():
     assert r.status == "budget-exhausted"
     with pytest.raises(ValueError):
         min_difference_set(6, LocalSpec(4, 5), 5)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            min_difference_set(n, LocalSpec(2, 1), 5)
 
 
 MAX_SETS_GRID = (None, 0, 1, 3, 10, 57, 200)
