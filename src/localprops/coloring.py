@@ -110,8 +110,28 @@ def edge_index(n: int, i: int, j: int) -> int:
 @lru_cache(maxsize=32)
 def _row_at(n: int) -> tuple[int, ...]:
     """at[u] + w = edge_index(n, u, w) for u < w: O(n) ints, not a C(n,2)
-    table per edge, cached per n as forbidden._endpoints is."""
+    table per edge, so holding the last 32 sizes costs little at any n."""
     return tuple(u * n - u * (u + 1) // 2 - u - 1 for u in range(n))
+
+
+def _hold(cache: dict, key, value, size, budget: int) -> None:
+    """Keep value in cache under key, each key counted as size(key)
+    entries: a value over budget on its own is not kept, and the oldest
+    keys go first until the held total is within budget.  Only atomic
+    dict operations (an assignment, a list of the keys, pop(key, None)),
+    so threads share a cache with no lock: two calls may both build one
+    value or both drop one key, and the total passes budget only between
+    a call's assignment and its evictions."""
+    if size(key) > budget:
+        return
+    cache[key] = value
+    keys = list(cache)
+    total = sum(map(size, keys))
+    for old in keys:
+        if total <= budget:
+            break
+        cache.pop(old, None)
+        total -= size(old)
 
 
 @dataclass(frozen=True)
@@ -140,16 +160,25 @@ class ColoredCompleteGraph:
 
     @classmethod
     def from_sparse(cls, n: int, colors) -> "ColoredCompleteGraph":
-        """Build a graph from arbitrary hashable color ids, densified.
+        """Build a graph from hashable color ids of one type, densified.
 
         Ids are remapped to 0..num_colors-1 in ascending order of the
-        original ids, so equal inputs always normalize identically.  The
-        shape is checked as in direct construction; the remapped ids are
-        dense ints by construction, so they are not checked again.
+        original ids, so equal inputs always normalize identically.  Ids
+        of two types (1 and 1.0 compare equal, 1 and "a" do not order) or
+        of one type that does not order raise ValueError.  The shape is
+        checked as in direct construction; the remapped ids are dense ints
+        by construction, so they are not checked again.
         """
         colors = list(colors)
         _check_shape(n, len(colors))
-        ids = sorted(set(colors))
+        types = set(map(type, colors))
+        if len(types) > 1:
+            raise ValueError(f"color ids must share one type, got {sorted(t.__name__ for t in types)}")
+        distinct = set(colors)
+        try:
+            ids = sorted(distinct)
+        except TypeError as exc:
+            raise ValueError(f"color ids must be ordered: {exc}") from None
         remap = dict(zip(ids, range(len(ids))))
         G = object.__new__(cls)
         object.__setattr__(G, "n", n)

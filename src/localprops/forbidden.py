@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, eq, ge, mul, or_
 
-from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, color_histogram
+from .coloring import ColoredCompleteGraph, LocalSpec, _hold, _require_ints, color_histogram
 
 __all__ = [
     "BudgetExceededError",
@@ -78,14 +77,29 @@ class DetectorParams:
         return LocalSpec(kk, comb(kk, 2) - self.mono_degree_cap + 1)
 
 
-@lru_cache(maxsize=32)
+ENDPOINTS_HELD = 31_250  # entries _endpoints keeps across calls, 3 C(n,2) per n
+
+
+def _endpoint_entries(n: int) -> int:
+    return 3 * comb(n, 2)
+
+
+_ENDPOINTS: dict = {}  # n -> _endpoints(n), within ENDPOINTS_HELD (coloring._hold)
+
+
 def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Per edge index of K_n: its lower endpoint, its upper endpoint, and
-    the two as a vertex bitmask; row-major, as edge_colors is stored."""
-    lo = tuple(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1))))
-    hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
-    bits = [1 << v for v in range(n)]
-    return lo, hi, tuple(map(or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
+    the two as a vertex bitmask; row-major, as edge_colors is stored.
+    Kept for the sizes that fit ENDPOINTS_HELD (each n <= 144 alone), so
+    a large graph leaves nothing C(n,2)-long behind."""
+    held = _ENDPOINTS.get(n)
+    if held is None:
+        lo = tuple(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1))))
+        hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
+        bits = [1 << v for v in range(n)]
+        held = lo, hi, tuple(map(or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
+        _hold(_ENDPOINTS, n, held, _endpoint_entries, ENDPOINTS_HELD)
+    return held
 
 
 def _mono_degrees(G: ColoredCompleteGraph) -> Counter:

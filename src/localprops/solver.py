@@ -45,10 +45,12 @@ checking would build on.
 min_colors() walks c upward from the multiplicity lower bound, when one
 applies (with cap = repeat_budget + 1 <= floor(k/2)-1, every color is
 capped at cap repeats, so at least ceil(C(n,2)/cap) colors are needed),
-and from 1 otherwise.  It builds the slot table once per solve and hands
-it to every level.  Because colors branch in ascending order, the first
-coloring found at the optimal level is the lexicographically least one
-in assignment order.
+and from 1 otherwise.  It gets the slot table once per solve and hands
+it to every level.  The table is built once per (n, k) while it fits the
+held-table budget, and rebound to each ell (_subset_checks), so a sweep
+over ell builds it once.  Because colors branch in ascending order, the
+first coloring found at the optimal level is the lexicographically least
+one in assignment order.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
+from operator import add, itemgetter
 
-from .coloring import ColoredCompleteGraph, LocalSpec, _require_ints, edge_count
+from .coloring import ColoredCompleteGraph, LocalSpec, _hold, _require_ints, edge_count
 
 __all__ = ["SolveBudget", "FeasibleOutcome", "SolveResult", "feasible", "min_colors"]
 
@@ -110,6 +113,29 @@ _Table = tuple[
 ]
 
 TABLE_LIMIT = 2_000_000  # reads or positions a subset table may hold
+TABLES_HELD = TABLE_LIMIT // 64  # entries _subset_checks keeps across calls
+
+
+def _table_entries(key: tuple[int, int]) -> int:
+    """Entries in the (n, k) subset table: its reads or its positions."""
+    n, k = key
+    return max(math.comb(n, k) * (k - 1), edge_count(n))
+
+
+# (n, k) -> (ell, table, prev of each read, need of each read, one slice
+# of those per position): tables built, held within TABLES_HELD entries
+_TABLES: dict = {}
+
+
+def _rebind(held, ell: int) -> _Table:
+    """The held table with every need moved from the held ell to ell: the
+    fills and grows lists are shared, the reads made in one pass."""
+    held_ell, table, prevs, needs, cuts = held
+    if ell == held_ell:
+        return table
+    fills, _, grows, slots = table
+    flat = list(zip(prevs, map(add, needs, repeat(ell - held_ell))))
+    return fills, list(map(flat.__getitem__, cuts)), grows, slots
 
 
 def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table | None:
@@ -144,10 +170,21 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     refused with ValueError before anything is built.  Returns None once
     deadline passes (checked before each position, so at every n, and
     before each step of a column's lists, built on entering (0, j)).
+
+    ell enters the table only through each read's need, so a complete
+    table is kept per (n, k), within TABLES_HELD entries in all (oldest
+    dropped first, coloring._hold), and a later call with the same (n, k)
+    gets it rebound to its ell (_rebind), after one deadline check.  A
+    table over TABLES_HELD, such as (22, 6)'s, is built at every call.
     """
-    size = max(math.comb(n, k) * (k - 1), edge_count(n))
+    size = _table_entries((n, k))
     if size > TABLE_LIMIT:
         raise ValueError(f"subset table for n={n}, k={k} needs {size} entries, over the limit {TABLE_LIMIT}")
+    held = _TABLES.get((n, k))
+    if held is not None:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        return _rebind(held, ell)
     fills, reads, grows = [], [], []  # per position, typed as in _Table
     ranks = [math.comb(i, k - 1) for i in range(n)]  # ranks[i]: r(U) of the first U with max(U) = i
     tri = [b * (b - 1) // 2 for b in range(n)]  # edge (a, b) sits at position tri[b] + a
@@ -188,7 +225,14 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
             reads.append(read := last[ranks[i] : ranks[i + 1]])
             read += map(early_reads.__getitem__, later[i])
             grows.append(list(map(early_grows.__getitem__, later[i])))
-    return fills, reads, grows, slots
+    table = fills, reads, grows, slots
+    if size <= TABLES_HELD:
+        flat = list(chain.from_iterable(reads))
+        ends = list(accumulate(map(len, reads)))
+        cuts = list(map(slice, [0, *ends], ends))
+        held = ell, table, list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat)), cuts
+        _hold(_TABLES, (n, k), held, _table_entries, TABLES_HELD)
+    return table
 
 
 def feasible(

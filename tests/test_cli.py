@@ -26,6 +26,13 @@ def write_coloring(path, n, colors):
     path.write_text(dump_json({"n": n, "colors": list(colors)}))
 
 
+def test_importing_the_cli_loads_neither_typing_nor_threading():
+    # both cost import time at every command line; -S keeps site hooks out
+    code = "import localprops.cli, sys; print(sorted({'typing', 'threading'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("verify-coloring").returncode == 2

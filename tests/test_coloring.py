@@ -481,6 +481,15 @@ def test_from_sparse_keeps_the_shape_checks():
         assert str(sparse.value) == str(direct.value)
 
 
+def test_from_sparse_refuses_ids_that_do_not_order_or_differ_in_type():
+    # ids of two types are refused before they are sorted or merged: 1 and
+    # "a" do not order, and 1, 1.0 and True would merge into one color
+    for colors in ([1, "a", 2], [1, 1.0, True], [2, 1, 1.5], [(1,), ("a",), (2,)], [1j, 2j, 1j]):
+        with pytest.raises(ValueError, match="^color ids must"):
+            ColoredCompleteGraph.from_sparse(3, colors)
+    assert ColoredCompleteGraph.from_sparse(3, [1.5, 0.5, 1.5]).edge_colors == (1, 0, 1)
+
+
 def test_local_spec_takes_only_ints():
     for k, ell in ((3.0, 2), (3, True), (True, 1), ("3", 2), (3, 2.0)):
         with pytest.raises(ValueError, match="integers"):

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -24,6 +25,7 @@ from localprops import (
     monochromatic,
     verify_local_property,
 )
+from localprops import forbidden
 from oracles import (
     brute_lemma_find,
     brute_popular,
@@ -128,6 +130,29 @@ def test_color_supports_examples():
     for g in random_graph_corpus(23, 20, n_hi=8):
         for s in color_supports(g):
             assert len(s.vertices) >= 2
+
+
+def test_endpoint_tables_are_held_only_within_their_budget():
+    # the monte-carlo sizes stay held from call to call; a large graph's
+    # three C(n,2)-long tables are dropped once the call returns
+    held = forbidden._ENDPOINTS
+    held.clear()
+    for n in range(8, 15):
+        assert forbidden._endpoints(n) is forbidden._endpoints(n)
+    assert list(held) == list(range(8, 15))
+    big = rainbow(1000)
+    tracemalloc.start()
+    try:
+        masks = forbidden._support_masks(big)
+        del masks
+        assert tracemalloc.get_traced_memory()[0] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    assert 1000 not in held
+    for n in range(2, 200, 7):
+        forbidden._endpoints(n)
+        assert sum(map(forbidden._endpoint_entries, held)) <= forbidden.ENDPOINTS_HELD
+        assert (n in held) == (forbidden._endpoint_entries(n) <= forbidden.ENDPOINTS_HELD)
 
 
 def _flower(a=4, b=3):

@@ -1,5 +1,7 @@
 import gc
 import inspect
+import sys
+import threading
 import time
 from functools import lru_cache
 from itertools import product
@@ -410,6 +412,82 @@ def test_oversized_subset_table_is_refused_before_it_is_built():
     assert time.monotonic() - t0 < 0.5
     # test_time_budget_covers_preprocessing needs the (22, 6) build to run
     assert comb(22, 6) * 5 <= solver_module.TABLE_LIMIT
+
+
+def test_a_held_table_solves_as_a_fresh_build():
+    # every f-table spec, solved with no table held and with another ell's
+    # table held for its (n, k): the rebound table equals a fresh build,
+    # so the whole result does too
+    budget = SolveBudget(node_limit=20_000)
+    held = solver_module._TABLES
+    for n in range(4, 10):
+        for k in range(3, min(n, 5) + 1):
+            top = comb(k, 2)
+            for ell in range(1, top + 1):
+                other = ell % top + 1
+                held.clear()
+                cold = min_colors(n, LocalSpec(k, ell), budget)
+                held.clear()
+                fresh = _subset_checks(n, k, ell)
+                held.clear()
+                _subset_checks(n, k, other)
+                assert _subset_checks(n, k, ell) == fresh, (n, k, ell)
+                assert [(key, entry[0]) for key, entry in held.items()] == [((n, k), other)]
+                assert min_colors(n, LocalSpec(k, ell), budget) == cold, (n, k, ell)
+
+
+def test_held_tables_stay_within_their_budget():
+    held, entries = solver_module._TABLES, solver_module._table_entries
+    budget = solver_module.TABLES_HELD
+    assert budget == solver_module.TABLE_LIMIT // 64
+    held.clear()
+    keys = [(n, k) for n in range(3, 31) for k in range(2, min(n, 5) + 1) if entries((n, k)) <= 2 * budget]
+    for step, (n, k) in enumerate(keys[::-1] + keys[::7]):
+        _subset_checks(n, k, step % comb(k, 2) + 1)
+        assert sum(map(entries, held)) <= budget, (n, k)
+        assert ((n, k) in held) == (entries((n, k)) <= budget), (n, k)
+    # a build the deadline stopped is not held, and a held table is not
+    # rebound once the deadline has passed
+    held.clear()
+    assert _subset_checks(12, 5, 7, time.monotonic() - 1) is None and not held
+    _subset_checks(12, 5, 7)
+    assert _subset_checks(12, 5, 3, time.monotonic() - 1) is None
+    # (22, 6) is over the budget, so it is never held, whole or stopped
+    held.clear()
+    assert entries((22, 6)) > budget
+    res = min_colors(22, LocalSpec(6, 12), SolveBudget(time_limit_s=0.02))
+    assert res.log[-1] == (12, 0, "exhausted") and not held
+    _subset_checks(22, 6, 12)
+    assert not held
+
+
+def test_threads_share_the_held_tables():
+    # four threads solve (7, 4, ell) for every ell, each in its own order,
+    # on one shared table cache; each gets the sequential results.  With no
+    # lock, two threads may both build the table; one copy stays held
+    budget = SolveBudget(node_limit=20_000)
+    ells = list(range(1, 7))
+    solver_module._TABLES.clear()
+    want = {ell: min_colors(7, LocalSpec(4, ell), budget) for ell in ells}
+    solver_module._TABLES.clear()
+    got = [None] * 4
+
+    def solve_all(t):
+        got[t] = {ell: min_colors(7, LocalSpec(4, ell), budget) for ell in ells[t:] + ells[:t]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve_all, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 4
+    assert list(solver_module._TABLES) == [(7, 4)]
 
 
 def test_feasible_frees_its_search_state():
