@@ -4,7 +4,12 @@ The central object is a coloring of the complete graph K_n: one color id
 per unordered edge, stored in row-major upper-triangle order (edge (i, j)
 with i < j lives at index edge_index(n, i, j); this indexing is shared by
 every module and by the JSON coloring format).  Color ids are dense: the
-ids in use are exactly 0..num_colors-1.
+ids in use are exactly 0..num_colors-1.  A graph counts its colors once,
+in the pass that builds it: multiplicities[c] is the number of edges of
+color c, and every statistic here and in energy and forbidden reads it
+rather than counting edge_colors again.  The library's own producers
+build through one trusted path, ColoredCompleteGraph._dense; only the
+public constructor and from_sparse check what they are given.
 
 A (k, ell) local property asks that every induced subgraph on k vertices
 span at least ell distinct edge colors.  The difference and distance
@@ -53,8 +58,9 @@ alone.  With delta = C(n,2) - num_colors and limit = min(C(n,k),
 2 C(n,2) + 1), it holds if delta <= t, scans if 4(t+1) <= k (it fails,
 and the scan's first k-subsets show where), scans if delta^(t+1) >=
 limit (P >= delta, so the cores are not taken; decided in O(1), with
-no histogram), and otherwise reads P off color_histogram and searches
-the cores when P^(t+1) < limit.  Both powers cap the exponent at
+no histogram), and otherwise reads P off color_histogram, the
+O(num_colors) view of the multiplicities, and searches the cores when
+P^(t+1) < limit.  Both powers cap the exponent at
 limit.bit_length(), deciding the same: past it, a base >= 2 exceeds
 limit either way.  The second term of limit keeps the cores' work and
 memory within a constant times the C(n,2) colors the input already
@@ -140,23 +146,29 @@ class ColoredCompleteGraph:
 
     edge_colors[edge_index(n, i, j)] is the color of edge (i, j).  Color
     ids must be dense ints; use from_sparse() to normalize arbitrary ids.
+    multiplicities[c] is the number of edges of color c, counted once, in
+    the pass that finds the ids in use; every statistic reads it there.
+    It is derived, so repr, equality and hashing leave it out.
     """
 
     n: int
     edge_colors: tuple[int, ...]
     num_colors: int = field(init=False)
+    multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         colors = tuple(self.edge_colors)
         _check_shape(self.n, len(colors))
         _require_ints(colors, "color ids")  # every id: True equals 1 but is refused
         object.__setattr__(self, "edge_colors", colors)
-        used = set(colors)
-        if used != set(range(len(used))):
+        counts = Counter(colors)
+        q = len(counts)
+        if counts.keys() != set(range(q)):
             raise ValueError(
                 "color ids must be dense 0..num_colors-1 (see from_sparse)"
             )
-        object.__setattr__(self, "num_colors", len(used))
+        object.__setattr__(self, "num_colors", q)
+        object.__setattr__(self, "multiplicities", tuple(map(counts.__getitem__, range(q))))
 
     @classmethod
     def from_sparse(cls, n: int, colors) -> "ColoredCompleteGraph":
@@ -179,11 +191,29 @@ class ColoredCompleteGraph:
             ids = sorted(distinct)
         except TypeError as exc:
             raise ValueError(f"color ids must be ordered: {exc}") from None
-        remap = dict(zip(ids, range(len(ids))))
+        # ranked here, so that _dense sees ints whatever type came in
+        return cls._dense(n, list(map(dict(zip(ids, range(len(ids)))).__getitem__, colors)))
+
+    @classmethod
+    def _dense(cls, n: int, colors) -> "ColoredCompleteGraph":
+        """The trusted build, with no check: C(n,2) int color ids, any ids.
+
+        One count of the ids gives multiplicities and the ids in use;
+        those are ranked 0..num_colors-1 in ascending order unless they
+        already are.  For the library's own producers, which make int ids
+        of the right count by construction, and for from_sparse after its
+        checks.  colors is a sequence: it is read twice.
+        """
+        counts = Counter(colors)
+        ids = sorted(counts)
+        q = len(ids)
+        if q and (ids[0] != 0 or ids[-1] != q - 1):  # distinct ints: dense iff they span 0..q-1
+            colors = map(dict(zip(ids, range(q))).__getitem__, colors)
         G = object.__new__(cls)
         object.__setattr__(G, "n", n)
-        object.__setattr__(G, "edge_colors", tuple(map(remap.__getitem__, colors)))
-        object.__setattr__(G, "num_colors", len(ids))
+        object.__setattr__(G, "edge_colors", tuple(colors))
+        object.__setattr__(G, "num_colors", q)
+        object.__setattr__(G, "multiplicities", tuple(map(counts.__getitem__, ids)))
         return G
 
     def color(self, u: int, v: int) -> int:
@@ -194,12 +224,16 @@ class ColoredCompleteGraph:
 
 def monochromatic(n: int) -> ColoredCompleteGraph:
     """K_n with every edge the same color."""
-    return ColoredCompleteGraph(n, (0,) * edge_count(n))
+    m = edge_count(n)
+    _check_shape(n, m)
+    return ColoredCompleteGraph._dense(n, (0,) * m)
 
 
 def rainbow(n: int) -> ColoredCompleteGraph:
     """K_n with all edge colors distinct."""
-    return ColoredCompleteGraph(n, tuple(range(edge_count(n))))
+    m = edge_count(n)
+    _check_shape(n, m)
+    return ColoredCompleteGraph._dense(n, range(m))
 
 
 def _check_shape(n, count: int) -> None:
@@ -440,21 +474,22 @@ def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) 
 
 def _raw_holds(n: int, raw: list, spec: LocalSpec) -> bool:
     """verify_local_property(ColoredCompleteGraph.from_sparse(n, raw), spec).holds,
-    for 2 <= k <= n, from the repeat count delta = len(raw) - len(set(raw))
-    when that decides it: with t = spec.repeat_budget, holds if
-    delta <= t, fails if delta > t and 4(t+1) <= k (the converse in the
-    module docstring)."""
+    for C(n,2) int ids raw and 2 <= k <= n, from the repeat count delta =
+    len(raw) - len(set(raw)) when that decides it: with t =
+    spec.repeat_budget, holds if delta <= t, fails if delta > t and
+    4(t+1) <= k (the converse in the module docstring)."""
     t = spec.repeat_budget
     if len(raw) - len(set(raw)) <= t:
         return True
     if 4 * (t + 1) <= spec.k:
         return False
-    return verify_local_property(ColoredCompleteGraph.from_sparse(n, raw), spec).holds
+    return verify_local_property(ColoredCompleteGraph._dense(n, raw), spec).holds
 
 
 def color_histogram(G: ColoredCompleteGraph) -> Counter:
-    """Multiplicity m_c of every color c; the values sum to n(n-1)/2."""
-    return Counter(G.edge_colors)
+    """Multiplicity m_c of every color c, keyed in color-id order: a Counter
+    view of G.multiplicities, O(num_colors).  The values sum to n(n-1)/2."""
+    return Counter(dict(enumerate(G.multiplicities)))
 
 
 def color_energy(G: ColoredCompleteGraph) -> int:
@@ -463,7 +498,7 @@ def color_energy(G: ColoredCompleteGraph) -> int:
     Pairs are ordered ((e1, e2) and (e2, e1) count separately, (e, e)
     counts once), while each edge itself is unordered.  Exact integer.
     """
-    return sum(m * m for m in color_histogram(G).values())
+    return sum(m * m for m in G.multiplicities)
 
 
 def cauchy_schwarz_floor(G: ColoredCompleteGraph) -> int:
@@ -485,4 +520,4 @@ def permute_vertices(G: ColoredCompleteGraph, perm) -> ColoredCompleteGraph:
         if a > b:
             a, b = b, a
         out[edge_index(G.n, a, b)] = c
-    return ColoredCompleteGraph(G.n, tuple(out))
+    return ColoredCompleteGraph._dense(G.n, out)

@@ -78,7 +78,7 @@ def random_coloring(cfg: RandomColoringConfig) -> ColoredCompleteGraph:
     are densified away, which never changes any statistic or verdict.
     """
     raw = _draw(random.Random(cfg.seed), edge_count(cfg.n), cfg.colors)
-    return ColoredCompleteGraph.from_sparse(cfg.n, raw)
+    return ColoredCompleteGraph._dense(cfg.n, raw)
 
 
 def _draw(rng: random.Random, m: int, colors: int) -> list[int]:
@@ -248,19 +248,23 @@ def verify_isosceles_free(points) -> tuple | None:
     vertex carrying both equal sides, so it suffices to scan, for every
     point, the squared distances to all others for a duplicate.  The
     returned witness is the least triple over first-duplicate hits, in
-    sorted point order; the scan is deterministic.  Coordinates must be
-    ints and points distinct, as for numbersets.point_set.
+    sorted point order; the scan is deterministic.  Each apex's distances
+    are one list, and one C-level set probe skips an apex with no
+    duplicate; only an apex that has one is rescanned for its hits (its
+    own distance 0 is unique, as the points are distinct).  Coordinates
+    must be ints and points distinct, as for numbersets.point_set.
     """
     pts = sorted(point_set(points))
     best = None
-    for qi, q in enumerate(pts):
+    for q in pts:
+        qx, qy = q
+        dists = [(qx - x) ** 2 + (qy - y) ** 2 for x, y in pts]
+        if len(set(dists)) == len(dists):
+            continue
         first_at: dict[int, int] = {}
-        for ri, r in enumerate(pts):
-            if ri == qi:
-                continue
-            d2 = (q[0] - r[0]) ** 2 + (q[1] - r[1]) ** 2
+        for ri, d2 in enumerate(dists):
             if d2 in first_at:
-                tri = tuple(sorted((q, pts[first_at[d2]], r)))
+                tri = tuple(sorted((q, pts[first_at[d2]], pts[ri])))
                 if best is None or tri < best:
                     best = tri
             else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 
-from .coloring import ColoredCompleteGraph, _require_ints, color_histogram
+from .coloring import ColoredCompleteGraph, _require_ints
 from .forbidden import (
     TUPLE_BUDGET,
     BudgetExceededError,
@@ -45,17 +45,17 @@ def dyadic_bins(G: ColoredCompleteGraph) -> tuple[tuple[int, ...], tuple[int, ..
     """(bin_count, contributions): per dyadic bin j, the number of colors
     with multiplicity in [2^j, 2^(j+1)) and the sum of their m_c^2.  Both
     end at the top nonempty bin and are empty for an edgeless graph."""
-    return _dyadic_bins(color_histogram(G))
+    return _dyadic_bins(G.multiplicities)
 
 
-def _dyadic_bins(hist: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """dyadic_bins of a color histogram, in one pass over its colors: up to
-    about a hundred colors, faster than sorting the multiplicities."""
-    if not hist:
+def _dyadic_bins(mults: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """dyadic_bins of a graph's multiplicities, in one pass over its colors:
+    up to about a hundred colors, faster than sorting the multiplicities."""
+    if not mults:
         return (), ()
-    top = max(hist.values()).bit_length()
+    top = max(mults).bit_length()
     counts, squares = [0] * top, [0] * top
-    for m in hist.values():
+    for m in mults:
         j = m.bit_length() - 1
         counts[j] += 1
         squares[j] += m * m
@@ -131,14 +131,12 @@ def bound_report(
     _require_ints(() if tuple_budget is None else (tuple_budget,), "tuple_budget")
     a, b = p.a, p.b
     n = G.n
-    hist = color_histogram(G)
-    profile = _profile(_dyadic_bins(hist)[0], n, p)
+    profile = _profile(_dyadic_bins(G.multiplicities)[0], n, p)
     # row j's min_support is the least |V_c| over the bins from j up
-    masks = _support_masks(G)
     least = [n] * len(profile.bin_count)  # no support exceeds n
-    for c, m in hist.items():
+    for m, mask in zip(G.multiplicities, _support_masks(G)):
         j = m.bit_length() - 1
-        least[j] = min(least[j], masks[c].bit_count())
+        least[j] = min(least[j], mask.bit_count())
     min_support = tuple(accumulate(reversed(least), min))[::-1]
     rich_num = 2 * n**b * b ** (b + 1) * a**b
     rows = []

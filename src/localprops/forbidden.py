@@ -24,7 +24,7 @@ from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, eq, ge, mul, or_
 
-from .coloring import ColoredCompleteGraph, LocalSpec, _hold, _require_ints, color_histogram
+from .coloring import ColoredCompleteGraph, LocalSpec, _hold, _require_ints
 
 __all__ = [
     "BudgetExceededError",
@@ -164,8 +164,7 @@ def popular_intersection_search(
     _require_ints((j,) if tuple_budget is None else (j, tuple_budget), "j and tuple_budget")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    hist = color_histogram(G)
-    popular = sorted(compress(hist, map(ge, hist.values(), repeat(1 << j))))
+    popular = list(compress(range(G.num_colors), map(ge, G.multiplicities, repeat(1 << j))))
     a, b = p.a, p.b
     if len(popular) < b:
         return None

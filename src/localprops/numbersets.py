@@ -142,7 +142,7 @@ def difference_color_graph(values) -> ColoredCompleteGraph:
     a = integer_set(values)
     if len(a) < 2:
         raise ValueError("need at least two elements")
-    return ColoredCompleteGraph.from_sparse(len(a), [y - x for x, y in combinations(a, 2)])
+    return ColoredCompleteGraph._dense(len(a), [y - x for x, y in combinations(a, 2)])
 
 
 def distance_color_graph(points) -> ColoredCompleteGraph:
@@ -155,7 +155,7 @@ def distance_color_graph(points) -> ColoredCompleteGraph:
     if len(pts) < 2:
         raise ValueError("need at least two points")
     raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2)]
-    return ColoredCompleteGraph.from_sparse(len(pts), raw)
+    return ColoredCompleteGraph._dense(len(pts), raw)
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ def feasible(
     if pos < m:
         return FeasibleOutcome("no", None, nodes)
     row_major = tuple(cols[j * (j - 1) // 2 + i] for i in range(n) for j in range(i + 1, n))
-    return FeasibleOutcome("yes", ColoredCompleteGraph(n, row_major), nodes)
+    return FeasibleOutcome("yes", ColoredCompleteGraph._dense(n, row_major), nodes)
 
 
 def _start_level(n: int, spec: LocalSpec) -> int:

@@ -1,9 +1,15 @@
+import dataclasses
+import json
+import pickle
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +22,11 @@ from localprops import (
     cauchy_schwarz_floor,
     color_energy,
     color_histogram,
+    difference_color_graph,
+    distance_color_graph,
     edge_count,
     edge_index,
+    min_colors,
     monochromatic,
     permute_vertices,
     rainbow,
@@ -26,6 +35,7 @@ from localprops import (
 )
 from localprops import coloring
 from localprops.coloring import _raw_holds, _repeat_cores
+from localprops.io import load_coloring
 from oracles import (
     brute_energy_quadruples,
     brute_verdict,
@@ -479,6 +489,64 @@ def test_from_sparse_keeps_the_shape_checks():
         with pytest.raises(ValueError) as sparse:
             ColoredCompleteGraph.from_sparse(n, colors)
         assert str(sparse.value) == str(direct.value)
+
+
+def test_from_sparse_turns_dense_ids_of_another_type_into_ints():
+    # 0.0 and 1.0 (or False and True) already span 0..q-1 by value, yet must be ranked
+    for colors in ([1.0, 0.0, 1.0], [True, False, True]):
+        g = ColoredCompleteGraph.from_sparse(3, colors)
+        assert g.edge_colors == (1, 0, 1) and all(type(c) is int for c in g.edge_colors)
+
+
+def _assert_counted_once(g):
+    """g.multiplicities are g's color counts, and the field travels with the
+    graph without entering its repr, equality or hash."""
+    counts = Counter(g.edge_colors)
+    assert g.multiplicities == tuple(counts[c] for c in range(g.num_colors))
+    assert sum(g.multiplicities) == comb(g.n, 2)
+    twin = ColoredCompleteGraph(g.n, g.edge_colors)  # the checked public path
+    assert (twin, hash(twin), repr(twin), twin.multiplicities) == (g, hash(g), repr(g), g.multiplicities)
+    for copy in (pickle.loads(pickle.dumps(g)), dataclasses.replace(g)):
+        assert copy == g and copy.multiplicities == g.multiplicities
+
+
+@st.composite
+def _sparse_colorings(draw):
+    n = draw(st.integers(1, 7))
+    return n, draw(st.lists(st.integers(-3, 40), min_size=comb(n, 2), max_size=comb(n, 2)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    _sparse_colorings(),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-30, 30), min_size=2, max_size=9, unique=True),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=8, unique=True),
+    st.sampled_from([(3, 2, 1), (4, 3, 2), (5, 3, 3), (6, 4, 5)]),
+)
+def test_one_count_whatever_the_construction_path(sparse_case, colors, seed, values, points, solve_case):
+    n, raw = sparse_case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coloring.json"
+        path.write_text(json.dumps({"n": n, "colors": raw}))
+        loaded = load_coloring(path)
+    sparse = ColoredCompleteGraph.from_sparse(n, raw)
+    for g in (ColoredCompleteGraph._dense(n, raw), loaded):
+        assert (g, hash(g), repr(g)) == (sparse, hash(sparse), repr(sparse))
+    solve_n, k, ell = solve_case
+    graphs = (
+        sparse,
+        ColoredCompleteGraph._dense(n, raw),
+        loaded,
+        random_coloring(RandomColoringConfig(n, colors, seed)),
+        difference_color_graph(values),
+        distance_color_graph(points),
+        min_colors(solve_n, LocalSpec(k, ell)).certificate,
+        permute_vertices(sparse, reversed(range(n))),
+    )
+    for g in graphs:
+        _assert_counted_once(g)
 
 
 def test_from_sparse_refuses_ids_that_do_not_order_or_differ_in_type():

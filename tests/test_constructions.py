@@ -222,13 +222,13 @@ def test_estimate_validates_inputs_once_in_order():
 
 def test_estimate_builds_no_graph_when_the_repeat_count_decides(monkeypatch):
     built = []
-    from_sparse = ColoredCompleteGraph.from_sparse
+    dense = ColoredCompleteGraph._dense
 
     def counted(n, colors):
         built.append(n)
-        return from_sparse(n, colors)
+        return dense(n, colors)
 
-    monkeypatch.setattr(ColoredCompleteGraph, "from_sparse", counted)
+    monkeypatch.setattr(ColoredCompleteGraph, "_dense", counted)
     estimate_property_probability(10, 1000, LocalSpec(5, 10), 50, 3)
     assert built == []
     # (4,5) has t = 1 and 4(t+1) > k: its trials past the budget are scanned
@@ -448,6 +448,9 @@ def test_verify_isosceles_free_examples():
     assert verify_isosceles_free([(0, 0), (1, 0), (2, 0)]) is not None
     with pytest.raises(ValueError):
         verify_isosceles_free([(0, 0), (0, 0), (1, 1)])
+    # apex (3, 3) has three points at squared distance 25; no other apex has a repeat
+    pts = [(8, 3), (0, 7), (3, 3), (7, 0)]
+    assert verify_isosceles_free(pts) == brute_isosceles(pts) == ((0, 7), (3, 3), (7, 0))
 
 
 def test_verify_isosceles_matches_brute():

@@ -28,6 +28,7 @@ KEEP = {
     "additive_energy": "the paper's statistic, computed from the color energy",
     "verify_isosceles_free": "checks the paper's distinct-distance construction",
     "edge_index": "ColoredCompleteGraph's documented edge_colors layout, for colorings built by hand",
+    "color_histogram": "the public Counter view of ColoredCompleteGraph.multiplicities",
 }
 
 
