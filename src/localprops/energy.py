@@ -44,13 +44,10 @@ __all__ = [
 def dyadic_bins(G: ColoredCompleteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(bin_count, contributions): per dyadic bin j, the number of colors
     with multiplicity in [2^j, 2^(j+1)) and the sum of their m_c^2.  Both
-    end at the top nonempty bin and are empty for an edgeless graph."""
-    return _dyadic_bins(G.multiplicities)
-
-
-def _dyadic_bins(mults: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """dyadic_bins of a graph's multiplicities, in one pass over its colors:
-    up to about a hundred colors, faster than sorting the multiplicities."""
+    end at the top nonempty bin and are empty for an edgeless graph.  One
+    pass over the colors: up to about a hundred colors, faster than
+    sorting the multiplicities."""
+    mults = G.multiplicities
     if not mults:
         return (), ()
     top = max(mults).bit_length()
@@ -131,7 +128,7 @@ def bound_report(
     _require_ints(() if tuple_budget is None else (tuple_budget,), "tuple_budget")
     a, b = p.a, p.b
     n = G.n
-    profile = _profile(_dyadic_bins(G.multiplicities)[0], n, p)
+    profile = _profile(dyadic_bins(G)[0], n, p)
     # row j's min_support is the least |V_c| over the bins from j up
     least = [n] * len(profile.bin_count)  # no support exceeds n
     for m, mask in zip(G.multiplicities, _support_masks(G)):

@@ -23,8 +23,7 @@ entries in a per-position list of color bits.  Every slot is written at
 one position and read later (a base slot once in each column from its
 fill on), and nothing is undone on backtrack: a read sees only slots
 written earlier on the current path, and re-entering a position
-rewrites them.  Slot ids are affine in the colex rank of U, so the table
-is built by arithmetic on ranks, with no lookup by set (_subset_checks).
+rewrites them.
 
 A color's bit either adds one to a mask's popcount or is already in it,
 so a read with mask s and bound need rejects every color when
@@ -139,8 +138,8 @@ def _rebind(held, ell: int) -> _Table:
 
 
 def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table | None:
-    """Slot table for the DFS: (fills, reads, grows, slot count), built
-    position by position in assignment order, edge (i, j) at position
+    """Slot table for the DFS: (fills, reads, grows, slot count), one
+    list of each per position in assignment order, edge (i, j) at position
     p = j(j-1)/2 + i.  Assigning it changes the k-subsets {j} | U with U a
     (k-1)-subset of {0..j-1} containing i; #{u in U : u > i} of their
     edges are still open.  reads[p] holds one (prev, need) per such
@@ -158,18 +157,18 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     likeliest to reject colors, so the pass that builds a position's
     allowed mask reaches an empty mask, and stops, soonest.
 
-    Slot ids are arithmetic in the colex rank r(U) = sum_m C(u_m, m+1) of
-    U = (u_0 < ... < u_{k-2}) (Knuth, TAOCP 4A, 7.2.1.3): U's base slot is
-    r(U), dense in [0, C(n-1,k-1)), and the slot its step t grows into in
-    column j is off_j + t C(j,k-1) + r(U), off_j the slots earlier columns
-    took.  Column j's new sets, V + (j-1,) for the (k-2)-subsets V of
-    range(j-1) in colex order, take the ranks from C(j-1,k-1) on; the
-    subsets completing at (i, j) are the ranks [C(i,k-1), C(i+1,k-1)).
+    Base slots come first, U's numbered by its colex rank r(U) =
+    sum_m C(u_m, m+1) of U = (u_0 < ... < u_{k-2}) (Knuth, TAOCP 4A,
+    7.2.1.3); grown slots follow, numbered in build order.  The build is
+    one pass: in each column j, for i from k-2 up, every U with max(U) = i
+    in colex order appends its reads and grows at the positions (u, j),
+    u in U.  Position (i, j) gets its completing reads at i, before any U
+    with a larger max reaches it, so they come first without a sort.
 
     A table of C(n,k)(k-1) reads or C(n,2) positions over TABLE_LIMIT is
     refused with ValueError before anything is built.  Returns None once
-    deadline passes (checked before each position, so at every n, and
-    before each step of a column's lists, built on entering (0, j)).
+    deadline passes (checked before anything C(n,2)-long is allocated,
+    then before each set).
 
     ell enters the table only through each read's need, so a complete
     table is kept per (n, k), within TABLES_HELD entries in all (oldest
@@ -180,51 +179,34 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     size = _table_entries((n, k))
     if size > TABLE_LIMIT:
         raise ValueError(f"subset table for n={n}, k={k} needs {size} entries, over the limit {TABLE_LIMIT}")
+    if deadline is not None and time.monotonic() > deadline:
+        return None
     held = _TABLES.get((n, k))
     if held is not None:
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         return _rebind(held, ell)
     fills, reads, grows = [], [], []  # per position, typed as in _Table
-    ranks = [math.comb(i, k - 1) for i in range(n)]  # ranks[i]: r(U) of the first U with max(U) = i
     tri = [b * (b - 1) // 2 for b in range(n)]  # edge (a, b) sits at position tri[b] + a
-    base, first = [], []  # by r(U): U's base slot, and U's first read, shared by every column
-    later = [[] for _ in range(n)]  # later[i]: (k-2) r(U) + t for each U with U[t] = i, t < k-2
-    early_reads, early_grows = [], []  # [(k-2) r(U) + t]: U's read at step t < k-2 and its grow
-    last, vs = [], []  # by r(U): U's completing read in this column; the (k-2)-sets V
-    slots = math.comb(n - 1, k - 1)
+    slots = math.comb(n - 1, k - 1)  # the base slots come first, by colex rank
+    first = [(r, ell - k + 2) for r in range(slots)]  # U's first read, shared by every column
+    # the (k-2)-subsets V of range(n-2) in colex order (lex order reversed, on
+    # reversed sets), so those of range(i) come first
+    vs = [v[::-1] for v in combinations(range(n - 3, -1, -1), k - 2)][::-1]
     for j in range(1, n):
-        for i in range(j):
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            fills.append(fill := [])
-            if i == 0 and j >= k - 1:  # U = V + (j-1,) takes rank ranks[j-1] + r(V)
-                # the (k-2)-subsets V of range(n-2) in colex order (lex order reversed, on
-                # reversed sets), built once, at the first column holding any U
-                vs = vs or [v[::-1] for v in combinations(range(n - 3, -1, -1), k - 2)][::-1]
-                lo, count = ranks[j - 1], ranks[j]
-                base += range(lo, count)
-                for r, v in zip(base[lo:], vs):
-                    fill.append((r, tuple([tri[b] + a for a, b in combinations(v + (j - 1,), 2)])))
-                    first.append((r, ell - k + 2))
-                    for x, u in enumerate(v, r * (k - 2)):
-                        later[u].append(x)
-                early_reads += [None] * ((k - 2) * (count - lo))
-                early_grows += [None] * ((k - 2) * (count - lo))
-                last, prev = first, base
-                for t in range(k - 2):  # step t grows into slot off_j + t C(j,k-1) + r(U)
-                    if deadline is not None and time.monotonic() > deadline:
-                        return None
-                    col = list(range(slots, slots + count))
-                    slots += count
-                    early_reads[t :: k - 2] = last
-                    early_grows[t :: k - 2] = zip(col, prev)
-                    last = list(zip(col, repeat(ell - k + 3 + t, count)))
-                    prev = col
-            # subsets completing at this edge (max U = i) first: they prune the most
-            reads.append(read := last[ranks[i] : ranks[i + 1]])
-            read += map(early_reads.__getitem__, later[i])
-            grows.append(list(map(early_grows.__getitem__, later[i])))
+        col = tri[j]
+        for table in fills, reads, grows:  # column j's positions, allocated on entering it
+            table += ([] for _ in range(j))
+        for i in range(k - 2, j):  # U = V + (i,) completes {j} | U at (i, j)
+            for read, v in zip(first[math.comb(i, k - 1) : math.comb(i + 1, k - 1)], vs):
+                if deadline is not None and time.monotonic() > deadline:
+                    return None
+                prev = read[0]  # U's base slot
+                if i == j - 1:  # filled on entering (0, j)
+                    fills[col].append((prev, tuple([tri[b] + a for a, b in combinations(v + (i,), 2)])))
+                for a in v:
+                    reads[col + a].append(read)
+                    grows[col + a].append((slots, prev))
+                    read, prev, slots = (slots, read[1] + 1), slots, slots + 1
+                reads[col + i].append(read)
     table = fills, reads, grows, slots
     if size <= TABLES_HELD:
         flat = list(chain.from_iterable(reads))

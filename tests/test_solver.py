@@ -1,11 +1,13 @@
 import gc
 import inspect
+import random
 import sys
 import threading
 import time
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,42 @@ def test_subset_table_writes_each_slot_once_and_reads_every_slot():
                     assert readers[slot][0] > p and order[readers[slot][0]][1] == j, (n, k, slot)
                 else:
                     assert [order[q][1] for q in readers[slot]] == list(range(j, n)), (n, k, slot)
+
+
+def test_subset_table_reads_see_each_subsets_colors_in_colex_order():
+    # what each read sees, not only the table's shape: U is filled on
+    # entering (0, max U + 1) into base slot r(U), its colex rank, and a
+    # replay of one seeded coloring, run as feasible runs a position
+    # (fills, then reads, then grows), shows every read the colors its
+    # subset's assigned edges hold and ell minus its open edges.  The
+    # completing subsets come first, each group in colex order of U.
+    def position(a, b):
+        return b * (b - 1) // 2 + a
+
+    rng = random.Random(7)
+    for n in range(2, 9):
+        order = [(i, j) for j in range(1, n) for i in range(j)]
+        for k in range(2, min(n, 6) + 1):
+            for ell in sorted({1, comb(k, 2)}):
+                fills, reads, grows, slots = _subset_checks(n, k, ell)
+                bits = [1 << rng.randrange(4) for _ in order]
+                state = [None] * slots  # a read of a slot not yet written sees None
+                for p, (i, j) in enumerate(order):
+                    colex = sorted(combinations(range(j), k - 1), key=lambda u: u[::-1])
+                    opened = [u for u in colex if i == 0 and u[-1] == j - 1]
+                    want = [(sum(map(comb, u, range(1, k))), tuple(position(a, b) for a, b in combinations(u, 2))) for u in opened]
+                    assert fills[p] == want, (n, k, ell, p)
+                    for slot, edges in fills[p]:
+                        state[slot] = reduce(or_, [bits[q] for q in edges], 0)
+                    completing = [u for u in colex if u[-1] == i]
+                    rest = [u for u in colex if i in u[:-1]]
+                    want = []
+                    for u in completing + rest:
+                        assigned = [position(a, b) for a, b in combinations((*u, j), 2) if position(a, b) < p]
+                        want.append((reduce(or_, [bits[q] for q in assigned], 0), ell - sum(u_m > i for u_m in u)))
+                    assert [(state[prev], need) for prev, need in reads[p]] == want, (n, k, ell, p)
+                    for slot, prev in grows[p]:
+                        state[slot] = state[prev] | bits[p]
 
 
 def test_min_colors_calls_feasible_by_its_module_name(monkeypatch):
