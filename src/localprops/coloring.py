@@ -7,9 +7,9 @@ every module and by the JSON coloring format).  Color ids are dense: the
 ids in use are exactly 0..num_colors-1.  A graph counts its colors once,
 in the pass that builds it: multiplicities[c] is the number of edges of
 color c, and every statistic here and in energy and forbidden reads it
-rather than counting edge_colors again.  The library's own producers
-build through one trusted path, ColoredCompleteGraph._dense; only the
-public constructor and from_sparse check what they are given.
+rather than counting edge_colors again.  That count is made only in
+ColoredCompleteGraph._dense, the trusted build the library's own
+producers call; the public constructor and from_sparse check, then call it.
 
 A (k, ell) local property asks that every induced subgraph on k vertices
 span at least ell distinct edge colors.  The difference and distance
@@ -146,9 +146,8 @@ class ColoredCompleteGraph:
 
     edge_colors[edge_index(n, i, j)] is the color of edge (i, j).  Color
     ids must be dense ints; use from_sparse() to normalize arbitrary ids.
-    multiplicities[c] is the number of edges of color c, counted once, in
-    the pass that finds the ids in use; every statistic reads it there.
-    It is derived, so repr, equality and hashing leave it out.
+    multiplicities[c] is the number of edges of color c (module
+    docstring).  It is derived, so repr, equality and hashing leave it out.
     """
 
     n: int
@@ -160,15 +159,12 @@ class ColoredCompleteGraph:
         colors = tuple(self.edge_colors)
         _check_shape(self.n, len(colors))
         _require_ints(colors, "color ids")  # every id: True equals 1 but is refused
+        G = self._dense(self.n, colors)  # the one count; it ranks ids that are not dense
+        if G.edge_colors != colors:
+            raise ValueError("color ids must be dense 0..num_colors-1 (see from_sparse)")
         object.__setattr__(self, "edge_colors", colors)
-        counts = Counter(colors)
-        q = len(counts)
-        if counts.keys() != set(range(q)):
-            raise ValueError(
-                "color ids must be dense 0..num_colors-1 (see from_sparse)"
-            )
-        object.__setattr__(self, "num_colors", q)
-        object.__setattr__(self, "multiplicities", tuple(map(counts.__getitem__, range(q))))
+        object.__setattr__(self, "num_colors", G.num_colors)
+        object.__setattr__(self, "multiplicities", G.multiplicities)
 
     @classmethod
     def from_sparse(cls, n: int, colors) -> "ColoredCompleteGraph":
@@ -176,21 +172,20 @@ class ColoredCompleteGraph:
 
         Ids are remapped to 0..num_colors-1 in ascending order of the
         original ids, so equal inputs always normalize identically.  Ids
-        of two types (1 and 1.0 compare equal, 1 and "a" do not order) or
-        of one type that does not order raise ValueError.  The shape is
-        checked as in direct construction; the remapped ids are dense ints
-        by construction, so they are not checked again.
+        of two types (1 and 1.0 compare equal, 1 and "a" do not order),
+        unhashable ids, or ids of one type that does not order raise
+        ValueError.  The shape is checked as in direct construction; the
+        remapped ids are dense ints by construction, so not checked again.
         """
         colors = list(colors)
         _check_shape(n, len(colors))
         types = set(map(type, colors))
         if len(types) > 1:
             raise ValueError(f"color ids must share one type, got {sorted(t.__name__ for t in types)}")
-        distinct = set(colors)
         try:
-            ids = sorted(distinct)
+            ids = sorted(set(colors))
         except TypeError as exc:
-            raise ValueError(f"color ids must be ordered: {exc}") from None
+            raise ValueError(f"color ids must be hashable and ordered: {exc}") from None
         # ranked here, so that _dense sees ints whatever type came in
         return cls._dense(n, list(map(dict(zip(ids, range(len(ids)))).__getitem__, colors)))
 
@@ -201,8 +196,9 @@ class ColoredCompleteGraph:
         One count of the ids gives multiplicities and the ids in use;
         those are ranked 0..num_colors-1 in ascending order unless they
         already are.  For the library's own producers, which make int ids
-        of the right count by construction, and for from_sparse after its
-        checks.  colors is a sequence: it is read twice.
+        of the right count by construction, and for from_sparse and the
+        constructor after their checks (the constructor refuses ids that
+        had to be ranked).  colors is a sequence: it is read twice.
         """
         counts = Counter(colors)
         ids = sorted(counts)

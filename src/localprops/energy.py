@@ -79,11 +79,8 @@ class DyadicProfile(namedtuple("DyadicProfile", "bin_count cum_count crossover")
 
 
 def dyadic_profile(G: ColoredCompleteGraph, p: DetectorParams) -> DyadicProfile:
-    return _profile(dyadic_bins(G)[0], G.n, p)
-
-
-def _profile(bins: tuple[int, ...], n: int, p: DetectorParams) -> DyadicProfile:
-    return DyadicProfile(bins, tuple(accumulate(reversed(bins)))[::-1], crossover_index(n, p))
+    bins = dyadic_bins(G)[0]
+    return DyadicProfile(bins, tuple(accumulate(reversed(bins)))[::-1], crossover_index(G.n, p))
 
 
 _BOUND_FIELDS = (
@@ -128,7 +125,7 @@ def bound_report(
     _require_ints(() if tuple_budget is None else (tuple_budget,), "tuple_budget")
     a, b = p.a, p.b
     n = G.n
-    profile = _profile(dyadic_bins(G)[0], n, p)
+    profile = dyadic_profile(G, p)
     # row j's min_support is the least |V_c| over the bins from j up
     least = [n] * len(profile.bin_count)  # no support exceeds n
     for m, mask in zip(G.multiplicities, _support_masks(G)):

@@ -19,7 +19,7 @@ cross-multiplied integers, never floats.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, eq, ge, mul, or_
@@ -51,24 +51,19 @@ class DetectorParams:
 
     k: int
     m: int
+    a: int = field(init=False, repr=False, compare=False)
+    b: int = field(init=False, repr=False, compare=False)
+    # b a - b: the most same-color edges at one vertex compatible with the property
+    mono_degree_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_ints((self.k, self.m), "k and m")
         if not self.k > self.m >= 2:
             raise ValueError("need k > m >= 2")
-
-    @property
-    def a(self) -> int:
-        return self.k // (self.m + 1)
-
-    @property
-    def b(self) -> int:
-        return self.m
-
-    @property
-    def mono_degree_cap(self) -> int:
-        """Max same-color edges at one vertex compatible with the property."""
-        return self.b * self.a - self.b
+        a, b = self.k // (self.m + 1), self.m
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mono_degree_cap", b * a - b)
 
     def induced_spec(self) -> LocalSpec:
         """The (a(b+1), C(a(b+1),2)-ba+b+1) property these detectors serve:
@@ -192,6 +187,7 @@ class SetSystem:
     n: int
     sets: tuple[frozenset[int], ...]
     d: int
+    min_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_ints((self.n, self.d), "n and d")
@@ -210,10 +206,7 @@ class SetSystem:
                 raise ValueError(f"set {idx} is empty")
             if min(s) < 0 or max(s) >= self.n:
                 raise ValueError(f"set {idx} leaves the universe [0, {self.n})")
-
-    @property
-    def min_size(self) -> int:
-        return min(len(s) for s in self.sets)
+        object.__setattr__(self, "min_size", min(map(len, sets)))
 
 
 def lemma_hypothesis_holds(inst: SetSystem) -> bool:

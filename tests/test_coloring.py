@@ -551,8 +551,9 @@ def test_one_count_whatever_the_construction_path(sparse_case, colors, seed, val
 
 def test_from_sparse_refuses_ids_that_do_not_order_or_differ_in_type():
     # ids of two types are refused before they are sorted or merged: 1 and
-    # "a" do not order, and 1, 1.0 and True would merge into one color
-    for colors in ([1, "a", 2], [1, 1.0, True], [2, 1, 1.5], [(1,), ("a",), (2,)], [1j, 2j, 1j]):
+    # "a" do not order, and 1, 1.0 and True would merge into one color; lists
+    # share one type but do not hash
+    for colors in ([1, "a", 2], [1, 1.0, True], [2, 1, 1.5], [(1,), ("a",), (2,)], [1j, 2j, 1j], [[1], [2], [1]]):
         with pytest.raises(ValueError, match="^color ids must"):
             ColoredCompleteGraph.from_sparse(3, colors)
     assert ColoredCompleteGraph.from_sparse(3, [1.5, 0.5, 1.5]).edge_colors == (1, 0, 1)

@@ -1,6 +1,8 @@
 import gc
+import pickle
 import random
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -50,6 +52,15 @@ def test_detector_params():
         DetectorParams(3, 3)
     with pytest.raises(ValueError):
         DetectorParams(5, 1)
+    # a, b and mono_degree_cap are set once, at construction: repr, equality
+    # and hash see only (k, m), replace derives them anew, pickle keeps them
+    assert repr(DetectorParams(6, 2)) == "DetectorParams(k=6, m=2)"
+    assert DetectorParams(6, 2) == DetectorParams(6, 2) != DetectorParams(7, 2)
+    assert hash(DetectorParams(6, 2)) == hash((6, 2))
+    p = replace(DetectorParams(6, 2), k=9)
+    assert (p.k, p.m, p.a, p.b, p.mono_degree_cap) == (9, 2, 3, 2, 4)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and (q.a, q.b, q.mono_degree_cap) == (3, 2, 4)
 
 
 def test_induced_spec_repeat_budget_is_the_mono_degree_cap_less_one():
@@ -264,6 +275,14 @@ def test_set_system_validation():
             SetSystem(n, (frozenset({0}),), 2)
     inst = SetSystem(4, (frozenset({0, 1}), frozenset({1})), 2)
     assert inst.min_size == 1
+    # min_size is set once, at construction, as DetectorParams' derived values are
+    assert repr(inst) == "SetSystem(n=4, sets=(frozenset({0, 1}), frozenset({1})), d=2)"
+    assert inst == SetSystem(4, ([0, 1], [1]), 2) != SetSystem(4, ([0, 1], [1]), 3)
+    assert hash(inst) == hash((4, inst.sets, 2))
+    wider = replace(inst, sets=(frozenset({0, 1}), frozenset({1, 2, 3})))
+    assert wider.min_size == 2
+    back = pickle.loads(pickle.dumps(wider))
+    assert back == wider and back.min_size == 2
 
 
 def test_set_system_takes_only_int_n_and_d():
