@@ -24,19 +24,20 @@ pairs differ by d > 0.
 
 min_difference_set finds the least |A - A| under a (k, ell) difference
 property by a depth-first search over the candidates in lexicographic
-order, on int bitmasks: the prefix's differences form one mask, its
-elements one reflected mask (a shift yields every new difference x - y
-at once), and each small subset of the prefix keeps its own pair of
-masks, so checking a new element is one OR and one bit count per
-(k-1)-subset.  A candidate A whose mirror image {a_n + 1 - a : a in A}
-comes first in lexicographic order is never built: the mirror image has
-the same difference set and verdict and was reached before it, so A
-could at best tie, and ties lose.  Each visit to a depth takes the
-elements still allowed there as one mask and tests them in ascending
-order up to the first that passes.  Pruned subtrees and skipped runs are
-counted by binomial coefficients, so the certificate (the
-lexicographically least optimum) and sets_examined are exactly those of
-a plain scan of every candidate.
+order, on int bitmasks: the prefix's differences form one mask D, its
+elements one reflected mask R (a shift yields every new difference z - y
+at once, and its bits in D are z's repeat count), and each small subset
+of the prefix keeps its own pair of masks in rows kept per depth, so
+checking a new element is one OR and one bit count per (k-1)-subset.  A
+candidate A whose mirror image {a_n + 1 - a : a in A} comes first in
+lexicographic order is never built: the mirror image has the same
+difference set and verdict and was reached before it, so A could at best
+tie, and ties lose.  Each visit to a depth tests the elements still
+allowed there in ascending order up to the first that passes.  The
+certificate (the lexicographically least optimum) and sets_examined are
+exactly those of a plain scan of every candidate: under a budget that
+binds, pruned subtrees and skipped runs are counted by binomial
+coefficients, and otherwise that scan reaches every candidate.
 """
 
 from __future__ import annotations
@@ -175,13 +176,6 @@ class DiffSetSearchResult:
     sets_examined: int
 
 
-def _add_element(subs: list, sh: int) -> None:
-    """Extend the j-subset rows of a prefix by element cap - sh."""
-    bx = 1 << sh
-    for j in range(len(subs) - 1, 0, -1):
-        subs[j] += [(m | s >> sh, s | bx) for m, s in subs[j - 1]]
-
-
 def min_difference_set(
     n: int, spec: LocalSpec, range_cap: int, max_sets: int | None = None
 ) -> DiffSetSearchResult:
@@ -205,20 +199,27 @@ def min_difference_set(
         (1, a_n + 1 - a_(n-1), ...) and so precedes A in the scan, within
         the same range and the same max_sets.  By the time A is reached,
         R(A) has failed or the best is no larger than |R(A) - R(A)|, so A
-        could at best tie.  Hence a2 <= (cap - n + 4) // 2, an element
-        with r elements still to add (itself included, r >= 2) is at most
-        cap + 3 - r - a2, and the last element starts at a_(n-1) + a2 - 1.
-    Each visit to a depth tests the elements left there, as one mask, in
-    ascending order and stops at the first that passes every
-    (k-1)-subset check; the run before it is counted in one step, and an
-    element past max_sets is never taken.  Specs with k > n hold
-    vacuously.
+        could at best tie.  Hence an element with r elements still to add
+        (itself included, r >= 2) is at most cap + 3 - r - a2, and the
+        last element starts at a_(n-1) + a2 - 1.  At depth 1 the bound
+        takes the least a2 left, so an a2 above (cap - n + 4) // 2 is cut
+        one depth down, where it leaves no room.
+    Each visit to a depth tests the elements left there in ascending
+    order and stops at the first that passes: its repeat count, the
+    prefix elements y with z - y already a difference, read as the bits
+    of R >> (cap - z) & D, must reach what the best size asks, then
+    every (k-1)-subset check must pass.  The subset rows are kept per
+    depth, each built from the one above on descent, so a backtrack
+    drops nothing.  Under a budget the run before the element taken is
+    counted in one step, and an element past max_sets is never taken.
+    Specs with k > n hold vacuously.
 
     sets_examined counts candidates in lexicographic order, pruned ones
     included (mirror images too), so it equals the number a plain scan of
     every candidate would make.  max_sets caps it: when more candidates
     exist the status is "budget-exhausted", with the best among the first
-    max_sets.
+    max_sets.  Only then is it tallied pass by pass; otherwise it is the
+    total, comb(range_cap - 1, n - 1).
     """
     _require_ints((n, range_cap), "n and range_cap")
     if max_sets is not None:
@@ -232,81 +233,78 @@ def min_difference_set(
 
     cap, k, ell = range_cap, spec.k, spec.ell
     total = comb(cap - 1, n - 1)
-    limit = total if max_sets is None else max(0, min(max_sets, total))
-    # Bit cap - y of a reflected mask stands for element y, so R >> (cap - x)
-    # has one bit per difference x - y.  subs[j] holds (difference mask,
-    # reflected mask) for each j-subset of the prefix, j < k; a new element
-    # is checked against the last row.
-    subs = [[(0, 0)]] + [[] for _ in range(k - 1 if k <= n else 0)]
-    last = subs[k - 1] if k <= n else []
+    # only a budget that binds needs the binomial tallies (docstring)
+    budget = max_sets is not None and max_sets < total
+    limit = max(0, max_sets) if budget else total
+    # Bit cap - y of a reflected mask stands for element y, so R >> (cap - z)
+    # has one bit per difference z - y.  subs[p] holds, for each j from
+    # max(0, k - r) to k - 1 (r = n - p), the row of (difference mask,
+    # reflected mask) pairs of the prefix's j-subsets: the rows a deeper
+    # (k-1)-subset grows from.  A new element is checked against the last.
+    first = [(0, 0)], [(0, 1 << (cap - 1))]  # the 0- and 1-subsets of (1,)
+    subs = [None] * n
+    subs[1] = [first[j] if j < 2 else [] for j in range(max(0, k - n + 1), k)]
     elems = [1] * n
     diffs = [0] * n  # per depth: the prefix's difference mask
     refl = [0] * n  # per depth: the prefix's reflected element mask
     nxt = [0] * n  # per depth: the next element to try
-    marks = [None] * n  # per depth: row lengths of subs before it was entered
     best_size = comb(n, 2) + 1  # above any |A - A|
     best = None
     examined = 0
-    _add_element(subs, cap - 1)
     p, refl[1], nxt[1] = 1, 1 << (cap - 1), 2
     while p and examined < limit:
         r = n - p  # elements still to add, this one included
         x = nxt[p]
-        D = diffs[p]
+        D, R = diffs[p], refl[p]
         # z adds p differences; it can win only if at least `need` of them are
         # already in D, and only if it leaves room for a last gap >= a2 - 1:
-        # a_n >= z + (r - 2) + (a2 - 1) must stay <= cap, with a2 = z at depth 1
+        # a_n >= z + (r - 2) + (a2 - 1) must stay <= cap; at depth 1, a2 is x or more
         need = D.bit_count() + n - best_size
         a2 = elems[1] if p > 1 else x
         if r == 1:
             lo, hi = max(x, elems[p - 1] + a2 - 1), cap
         else:
-            lo, hi = x, (cap + 3 - r) // 2 if p == 1 else cap + 3 - r - a2
-        cand = (2 << hi) - 1 >> lo << lo if need < p else 0  # bits lo..hi
-        if need > 0 and cand:
-            atl = [-1] + [0] * need  # atl[c]: the z repeating >= c of them
-            for y in elems[:p]:
-                hit = D << y
-                for c in range(need, 0, -1):
-                    atl[c] |= atl[c - 1] & hit
-            cand &= atl[need]
-        z = cap + 1  # the first candidate passing every (k-1)-row
-        while cand:
-            low = cand & -cand
-            sh = cap + 1 - low.bit_length()
+            lo, hi = x, cap + 3 - r - a2
+        last = subs[p][-1]
+        # the first z passing: a repeat count (the bits of R >> sh & D) of at
+        # least need, then every (k-1)-row
+        for z in range(lo, hi + 1 if need < p else lo):
+            sh = cap - z
+            if (R >> sh & D).bit_count() < need:
+                continue
             for m, s in last:
                 if (m | s >> sh).bit_count() < ell:
                     break
             else:
-                z = cap - sh
                 break
-            cand ^= low
-        # every candidate whose element here lies in x..z-1 is pruned, skipped
-        # or fails; comb(cap - x + 1, r) of them start at x or later
-        examined += comb(cap - x + 1, r) - comb(cap - z + 1, r)
+        else:
+            z = cap + 1
+        if budget:
+            # every candidate whose element here lies in x..z-1 is pruned,
+            # skipped or fails; comb(cap - x + 1, r) of them start at x or later
+            examined += comb(cap - x + 1, r) - comb(cap - z + 1, r)
+            if examined >= limit:
+                break
         if z > cap:
-            if p > 1:
-                for row, mark in zip(subs, marks[p]):
-                    del row[mark:]
             p -= 1
             continue
-        if examined >= limit:
-            break
         nxt[p], elems[p] = z + 1, z
-        new_diffs = D | refl[p] >> sh
+        new_diffs = D | R >> sh
         if r == 1:
             examined += 1
             best_size, best = new_diffs.bit_count(), tuple(elems)
             continue
-        marks[p + 1] = [len(row) for row in subs]
-        _add_element(subs, sh)
+        old, bx = subs[p], 1 << sh
         p += 1
-        diffs[p], refl[p], nxt[p] = new_diffs, refl[p - 1] | 1 << sh, z + 1
+        grown = subs[p] = old[:1] if r > k else []
+        for j in range(1, len(old)):
+            grown.append(old[j] + [(m | s >> sh, s | bx) for m, s in old[j - 1]])
+        diffs[p], refl[p], nxt[p] = new_diffs, R | bx, z + 1
 
-    if limit < total:
+    if budget:
         status, examined = "budget-exhausted", limit
     else:
-        status = "infeasible" if best is None else "optimal"
+        status, examined = "infeasible" if best is None else "optimal", total
     if best is None:
         return DiffSetSearchResult(status, None, None, None, cap, examined)
     return DiffSetSearchResult(status, best_size, best, difference_set(best), cap, examined)

@@ -65,6 +65,14 @@ MUTANTS = (
         "ids that _dense had to rank, such as (0, 0, 2), are not dense and must be refused",
     ),
     Mutant(
+        "constructor-density-message",
+        "coloring.py",
+        '"color ids must be dense 0..num_colors-1 (see from_sparse)"',
+        '"color ids must be dense (see from_sparse)"',
+        ("test_coloring.py",),
+        "the refusal names the dense range the ids must fill",
+    ),
+    Mutant(
         "constructor-num-colors",
         "coloring.py",
         'object.__setattr__(self, "num_colors", G.num_colors)',
@@ -278,7 +286,7 @@ MUTANTS = (
         ("test_solver.py",),
         "cap + 1 repeats of one color fit in k vertices only when 2(cap + 1) <= k",
     ),
-    # numbersets: the two reductions and the mirror cut
+    # numbersets: the two reductions, the mirror cut and the search loop
     Mutant(
         "difference-reduction",
         "numbersets.py",
@@ -304,16 +312,36 @@ MUTANTS = (
         "a last gap of a2 - 1 ties the first gap, and the mirror image then does not come first",
     ),
     Mutant(
-        "mirror-cut-depth-1-looser",
+        "repeat-count-threshold",
         "numbersets.py",
-        "lo, hi = x, (cap + 3 - r) // 2 if p == 1 else cap + 3 - r - a2",
-        "lo, hi = x, cap if p == 1 else cap + 3 - r - a2",
+        "if (R >> sh & D).bit_count() < need:",
+        "if (R >> sh & D).bit_count() <= need:",
         ("test_numbersets.py",),
-        "a looser bound on a2 only prunes less: the deeper bound cap + 3 - r - a2 and the last "
-        "element's lo make the same cut, and sets_examined counts pruned candidates too; on the "
-        "monte-carlo searches (6, 4, 5, 22) and (5, 3, 3, 30) the depth-1 bound saves 15 of 3792 "
-        "and 25 of 3261 loop passes, and no timing difference shows above the noise",
-        True,
+        "an element repeating exactly need prefix differences can still beat the best size",
+    ),
+    Mutant(
+        "repeat-count-shift",
+        "numbersets.py",
+        "if (R >> sh & D).bit_count() < need:",
+        "if (R >> sh + 1 & D).bit_count() < need:",
+        ("test_numbersets.py",),
+        "R >> (cap - z) has one bit per difference z - y; one more shift counts z - 1 - y instead",
+    ),
+    Mutant(
+        "subset-rows-grow",
+        "numbersets.py",
+        "grown.append(old[j] + [(m | s >> sh, s | bx) for m, s in old[j - 1]])",
+        "grown.append([(m | s >> sh, s | bx) for m, s in old[j - 1]])",
+        ("test_numbersets.py",),
+        "a deeper prefix keeps the j-subsets without the new element too",
+    ),
+    Mutant(
+        "unbudgeted-sets-examined",
+        "numbersets.py",
+        '"optimal", total',
+        '"optimal", total - 1',
+        ("test_numbersets.py",),
+        "with no budget that binds, the plain scan examines every one of the total candidates",
     ),
     # constructions and cli
     Mutant(

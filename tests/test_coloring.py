@@ -57,10 +57,10 @@ def test_edge_index_matches_enumeration_order():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        ColoredCompleteGraph(3, (0, 0))  # wrong length
-    with pytest.raises(ValueError):
-        ColoredCompleteGraph(3, (0, 0, 2))  # sparse ids
+    with pytest.raises(ValueError, match=r"^expected 3 edge colors for n=3, got 2$"):
+        ColoredCompleteGraph(3, (0, 0))
+    with pytest.raises(ValueError, match=r"^color ids must be dense 0\.\.num_colors-1 \(see from_sparse\)$"):
+        ColoredCompleteGraph(3, (0, 0, 2))
     # floats equal to 0 and 1 and a True beside a 1 pass the density test,
     # so every id is checked, not only the distinct ones
     for colors in ((0.0, 0.0, 1.0), (0, 1, True), (0, 1, 1.0), (False, 0, 1), (0, 1, "2")):

@@ -269,6 +269,7 @@ def test_min_difference_set_matches_candidate_scan_exhaustively():
     # status, value, certificate, difference set and sets_examined
     for n in range(1, 7):
         for cap in range(n, 15):
+            total = comb(cap - 1, n - 1)
             for k in range(2, 7):
                 for ell in range(1, comb(k, 2) + 1):
                     for max_sets in MAX_SETS_GRID:
@@ -280,6 +281,12 @@ def test_min_difference_set_matches_candidate_scan_exhaustively():
                         a = got.certificate
                         if a is not None:
                             assert a <= tuple(a[-1] + 1 - v for v in reversed(a))
+                        # and the untallied count on this: a budget that cannot
+                        # bind leaves no candidate unscanned
+                        if max_sets is None or max_sets >= total:
+                            assert got.sets_examined == total, (n, cap, k, ell, max_sets)
+                    spec = LocalSpec(k, ell)
+                    assert min_difference_set(n, spec, cap, total) == min_difference_set(n, spec, cap)
 
 
 def test_min_difference_set_budget_sweep():
