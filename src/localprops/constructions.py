@@ -6,16 +6,21 @@ color budget ceil(n^((k-2)/(C(k,2)-ell+1))) is the color count at which
 such a coloring starts satisfying a (k, ell) local property with decent
 probability.  Its colors are drawn in batches: one getrandbits call
 yields many 32-bit words, and each word gives one color by the rejection
-rule of randrange, so the stream is the same as one randrange per edge.
-The estimator reseeds one generator per trial and judges each trial from
-the raw color ids, building a graph only when the repeat count alone
-cannot decide.  The progression-free sets are the classical digit-sphere
-(Behrend) construction: integers whose base-(2d-1) digits in {0..d-1}
-form a vector on a fixed Euclidean sphere.  Digit addition then has no
-carries, so a 3-term arithmetic progression would force a sphere to
-contain a midpoint, which strict convexity forbids.  The sphere joins its
-low and high digit halves on squared norm; verify_no_3ap tries only the
-middle terms y with 2y <= x + max.
+rule of randrange, so the stream is the same as one randrange per edge;
+up to 256 colors, one bytes.translate applies that rule to each word's
+top byte.  The estimator reseeds one generator per trial and judges each
+trial from the raw color ids, building a graph only when the repeat
+count alone cannot decide.  The progression-free sets are the classical
+digit-sphere (Behrend) construction: integers whose base-(2d-1) digits
+in {0..d-1} form a vector on a fixed Euclidean sphere.  Digit addition
+then has no carries, so a 3-term arithmetic progression would force a
+sphere to contain a midpoint, which strict convexity forbids.  The
+sphere joins its low and high digit halves on squared norm.
+verify_no_3ap tries only the middle terms y with 2y <= x + max.  It
+reads whether 2y - x is an element from a byte table of residues mod a
+power of two >= 256 n, one C-level gather per x, and confirms each byte
+hit exactly: a false hit, at most about 1 in 256 pairs when residues
+spread, costs only the check.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import sub
+from itertools import compress, count
+from operator import itemgetter
 
 from .coloring import ColoredCompleteGraph, LocalSpec, _raw_holds, _require_ints, edge_count
 from .numbersets import integer_set, point_set
@@ -42,6 +47,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_BYTES = bytes(range(256))
+# _SHRINK[k] maps a word's top byte to its top k bits
+_SHRINK = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
 
 
 def _mix_seed(seed: int, index: int) -> int:
@@ -86,21 +94,29 @@ def _draw(rng: random.Random, m: int, colors: int) -> list[int]:
 
     For colors < 2^32, randrange(colors) keeps the top k = colors.bit_length()
     bits of one 32-bit word and rejects values >= colors.  getrandbits(32w)
-    returns w such words, the first in the lowest bits, so one shift and
-    one mask leave each word's top k bits in its own 32-bit lane, and the
-    lanes read in order replay that stream.  Each batch is sized by the
-    acceptance rate and may overdraw: rng must not be used afterwards.
+    returns w such words, the first in the lowest bits, so its little-endian
+    bytes hold the words in order.  For k <= 8 each word's top byte b
+    decides: one bytes.translate deletes every b >= colors << (8 - k) and
+    maps the rest to b >> (8 - k).  For larger k, one shift and one mask
+    leave each word's top k bits in its own 32-bit lane, and the lanes are
+    filtered in order.  Either way the draws replay that stream.  Each
+    batch is sized by the acceptance rate and may overdraw: rng must not
+    be used afterwards.
     """
     k = colors.bit_length()
     if k > 32:  # here each getrandbits(k) spans several words
         return [rng.randrange(colors) for _ in range(m)]
     lane = ((1 << k) - 1).to_bytes(4, "little")
-    below = colors.__gt__
     out: list[int] = []
     while len(out) < m:
         w = ((m - len(out)) << k) // colors + 4
-        tops = rng.getrandbits(32 * w) >> (32 - k) & int.from_bytes(lane * w, "little")
-        out += filter(below, memoryview(tops.to_bytes(4 * w, sys.byteorder)).cast("I"))
+        words = rng.getrandbits(32 * w)
+        if k <= 8:
+            top_bytes = words.to_bytes(4 * w, "little")[3::4]
+            out += top_bytes.translate(_SHRINK[k], _BYTES[colors << (8 - k) :])
+        else:
+            tops = words >> (32 - k) & int.from_bytes(lane * w, "little")
+            out += [v for v in memoryview(tops.to_bytes(4 * w, sys.byteorder)).cast("I") if v < colors]
     del out[m:]
     return out
 
@@ -214,20 +230,40 @@ def verify_no_3ap(values) -> tuple[int, int, int] | None:
     """Least triple x < y < z with x + z = 2y, or None if progression-free.
 
     Values must be ints, as for numbersets.integer_set.  For each x, only
-    a y with 2y <= x + max can have z = 2y - x in the set: bisection on
-    the doubled elements bounds that range exactly, one C-level isdisjoint
-    probe tests all its z, and only a range that hits is rescanned for
-    its least y."""
+    a y with 2y <= x + max can have z = 2y - x in the set, and bisection
+    on the doubled elements bounds that range.  A byte table over
+    the residues mod size, a power of two >= 256 n, marks each element's
+    residue twice, at r and r + size.  Read from offset -x % size, the
+    byte at 2y % size is then the mark of 2y - x, so one C-level gather
+    per x reads every y in range with no int made per pair, and one
+    any() skips an x with no hit.  At most n of the size residues are
+    marked, so where the residues of 2y - x spread evenly a pair hits
+    falsely with probability <= 1/256.  Every hit, in ascending y, is
+    checked exactly against the set, so a false one (or one from elements
+    sharing a residue) costs work, never a wrong answer, and the first
+    that passes is the least witness."""
     elems = integer_set(values)
-    if len(elems) < 3:
+    n = len(elems)
+    if n < 3:
         return None
     present = set(elems)
     doubled = [2 * y for y in elems]
+    size = 256 << (n - 1).bit_length()
+    table = bytearray(2 * size)
+    for y in elems:
+        r = y % size
+        table[r] = table[r + size] = 1
+    slots = tuple([d % size for d in doubled])  # a tuple: its slices go to itemgetter uncopied
+    marks = memoryview(table)
     top = elems[-1]
-    for i, x in enumerate(elems):
-        hi = bisect_right(doubled, x + top, i + 1)
-        if not present.isdisjoint(map(sub, doubled[i + 1 : hi], repeat(x))):
-            for j in range(i + 1, hi):
+    # The last two elements start no progression.  Each window holds at
+    # least two y, so that itemgetter returns a tuple; a y past the bound
+    # has 2y - x > top, and the exact check turns its hit away.
+    for i, x in enumerate(elems[:-2]):
+        hi = bisect_right(doubled, x + top, i + 3)
+        hits = itemgetter(*slots[i + 1 : hi])(marks[-x % size :])
+        if any(hits):
+            for j in compress(range(i + 1, hi), hits):
                 if doubled[j] - x in present:
                     return x, elems[j], doubled[j] - x
     return None

@@ -210,8 +210,10 @@ def min_difference_set(
     of R >> (cap - z) & D, must reach what the best size asks, then
     every (k-1)-subset check must pass.  The subset rows are kept per
     depth, each built from the one above on descent, so a backtrack
-    drops nothing.  Under a budget the run before the element taken is
-    counted in one step, and an element past max_sets is never taken.
+    drops nothing; the last depth's one row is built only when an element
+    there first passes its repeat count, as many visits have none that
+    do.  Under a budget the run before the element taken is counted in
+    one step, and an element past max_sets is never taken.
     Specs with k > n hold vacuously.
 
     sets_examined counts candidates in lexicographic order, pruned ones
@@ -241,6 +243,7 @@ def min_difference_set(
     # max(0, k - r) to k - 1 (r = n - p), the row of (difference mask,
     # reflected mask) pairs of the prefix's j-subsets: the rows a deeper
     # (k-1)-subset grows from.  A new element is checked against the last.
+    # At the last depth subs[p] is None until an element needs that row.
     first = [(0, 0)], [(0, 1 << (cap - 1))]  # the 0- and 1-subsets of (1,)
     subs = [None] * n
     subs[1] = [first[j] if j < 2 else [] for j in range(max(0, k - n + 1), k)]
@@ -265,14 +268,17 @@ def min_difference_set(
             lo, hi = max(x, elems[p - 1] + a2 - 1), cap
         else:
             lo, hi = x, cap + 3 - r - a2
-        last = subs[p][-1]
+        rows = subs[p]
         # the first z passing: a repeat count (the bits of R >> sh & D) of at
         # least need, then every (k-1)-row
         for z in range(lo, hi + 1 if need < p else lo):
             sh = cap - z
             if (R >> sh & D).bit_count() < need:
                 continue
-            for m, s in last:
+            if rows is None:  # the last depth, with its row not built yet
+                up, ush = subs[p - 1], cap - elems[p - 1]
+                rows = subs[p] = [up[-1] + [(m | s >> ush, s | 1 << ush) for m, s in up[-2]]]
+            for m, s in rows[-1]:
                 if (m | s >> sh).bit_count() < ell:
                     break
             else:
@@ -296,9 +302,12 @@ def min_difference_set(
             continue
         old, bx = subs[p], 1 << sh
         p += 1
-        grown = subs[p] = old[:1] if r > k else []
-        for j in range(1, len(old)):
-            grown.append(old[j] + [(m | s >> sh, s | bx) for m, s in old[j - 1]])
+        if r == 2:
+            subs[p] = None
+        else:
+            grown = subs[p] = old[:1] if r > k else []
+            for j in range(1, len(old)):
+                grown.append(old[j] + [(m | s >> sh, s | bx) for m, s in old[j - 1]])
         diffs[p], refl[p], nxt[p] = new_diffs, R | bx, z + 1
 
     if budget:

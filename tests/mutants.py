@@ -1,9 +1,10 @@
 """Mutants of src/localprops, and a runner that checks the tests kill them.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
-Each mutant changes one exact text, which occurs once in its module, into
-a replacement: a small fault of the kind a later edit could bring in
+With names, only those mutants run; with none, every one does.  Each
+mutant changes one exact text, which occurs once in its module, into a
+replacement: a small fault of the kind a later edit could bring in
 (DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
 Computer, 1978; Papadakis et al., "Mutation testing advances", Advances
 in Computers, 2019).  The runner copies src/, tests/ and pyproject.toml
@@ -336,6 +337,14 @@ MUTANTS = (
         "a deeper prefix keeps the j-subsets without the new element too",
     ),
     Mutant(
+        "last-row-grow",
+        "numbersets.py",
+        "rows = subs[p] = [up[-1] + [(m | s >> ush, s | 1 << ush) for m, s in up[-2]]]",
+        "rows = subs[p] = [[(m | s >> ush, s | 1 << ush) for m, s in up[-2]]]",
+        ("test_numbersets.py",),
+        "the last depth's (k-1)-subsets include those without the element above it",
+    ),
+    Mutant(
         "unbudgeted-sets-examined",
         "numbersets.py",
         '"optimal", total',
@@ -343,15 +352,65 @@ MUTANTS = (
         ("test_numbersets.py",),
         "with no budget that binds, the plain scan examines every one of the total candidates",
     ),
-    # constructions and cli
+    # constructions: the byte-lane draws and the gathered 3-AP check
+    Mutant(
+        "draw-byte-shift",
+        "constructions.py",
+        "bytes(b >> (8 - k) for b in range(256))",
+        "bytes(b >> (9 - k) for b in range(256))",
+        ("test_constructions.py",),
+        "a top byte keeps its top k bits: it shifts right by 8 - k",
+    ),
+    Mutant(
+        "draw-reject-threshold",
+        "constructions.py",
+        "_BYTES[colors << (8 - k) :]",
+        "_BYTES[(colors << (8 - k)) + 1 :]",
+        ("test_constructions.py",),
+        "the least rejected top byte is colors << (8 - k), whose top k bits read colors",
+    ),
+    Mutant(
+        "draw-lane-filter",
+        "constructions.py",
+        "if v < colors]",
+        "if v <= colors]",
+        ("test_constructions.py",),
+        "randrange(colors) rejects a lane equal to colors",
+    ),
     Mutant(
         "no-3ap-bisection-bound",
         "constructions.py",
-        "bisect_right(doubled, x + top, i + 1)",
-        "bisect_right(doubled, x + top - 1, i + 1)",
+        "bisect_right(doubled, x + top, i + 3)",
+        "bisect_right(doubled, x + top - 1, i + 3)",
         ("test_constructions.py",),
         "2y = x + max is a progression ending at the largest element",
     ),
+    Mutant(
+        "no-3ap-table-offset",
+        "constructions.py",
+        "marks[-x % size :]",
+        "marks[x % size :]",
+        ("test_constructions.py",),
+        "the byte at 2y % size must be the mark of 2y - x, not of 2y + x",
+    ),
+    Mutant(
+        "no-3ap-exact-check",
+        "constructions.py",
+        "if doubled[j] - x in present:",
+        "if True:",
+        ("test_constructions.py",),
+        "elements sharing a residue make byte hits that are no progression",
+    ),
+    Mutant(
+        "no-3ap-table-size",
+        "constructions.py",
+        "size = 256 << (n - 1).bit_length()",
+        "size = 1 << (n - 1).bit_length()",
+        ("test_constructions.py",),
+        "a smaller table only makes more false byte hits, and the exact check turns each away",
+        True,
+    ),
+    # cli
     Mutant(
         "exit-code-none",
         "cli.py",
@@ -412,9 +471,14 @@ def run(mutants) -> int:
     return wrong
 
 
-def main() -> int:
-    return 1 if run(MUTANTS) else 0
+def main(names) -> int:
+    """Run the named mutants, or all of them when none is named."""
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        raise SystemExit(f"no such mutant: {' '.join(unknown)}")
+    return 1 if run([by_name[name] for name in names] if names else MUTANTS) else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

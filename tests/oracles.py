@@ -408,6 +408,19 @@ def brute_no_3ap(values):
     return None
 
 
+def pair_probe_no_3ap(values):
+    """brute_no_3ap in O(n^2): for each x, then each y > x in ascending
+    order, probe 2y - x in a set (the least x, then the least y, is the
+    least triple).  Fast enough for Behrend sets of a thousand elements."""
+    a = sorted(set(values))
+    present = set(a)
+    for i, x in enumerate(a):
+        for y in a[i + 1 :]:
+            if 2 * y - x in present:
+                return x, y, 2 * y - x
+    return None
+
+
 def brute_sphere_elements(dim, base, radius):
     """Digit-by-digit DFS over {0..dim-1}^dim: every integer whose base-`base`
     digit vector has squared norm `radius`, in no particular order."""

@@ -27,6 +27,8 @@ from oracles import (
     brute_isosceles,
     brute_no_3ap,
     brute_sphere_elements,
+    pair_probe_no_3ap,
+    per_edge_draw,
     random_graph_corpus,
     reference_estimate,
 )
@@ -170,13 +172,37 @@ def test_oracle_corpus_is_pinned():
         assert h.hexdigest() == pin, args
 
 
+class _CountingRandom(random.Random):
+    """A random.Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
 def test_batched_draws_replay_per_edge_randrange():
+    # 128..257 straddle the byte path (k <= 8) and the lane path (k = 9);
+    # m = 5000 at an acceptance rate near 1/2 needs a second batch on both
+    second_batch = set()
     for seed in (0, 1, 12345, 2**63):
-        for m in (0, 1, 15, 45, 780):
-            for colors in (1, 2, 3, 4, 8, 9, 1000, 2**31, 2**32 - 1, 2**32, 2**40):
+        for m in (0, 1, 15, 45, 780, 5000):
+            for colors in (1, 2, 3, 4, 8, 9, 128, 129, 255, 256, 257, 1000, 2**31, 2**32 - 1, 2**32, 2**40):
                 want = random.Random(seed)
-                got = _draw(random.Random(seed), m, colors)
+                rng = _CountingRandom(seed)
+                got = _draw(rng, m, colors)
                 assert got == [want.randrange(colors) for _ in range(m)], (seed, m, colors)
+                if rng.calls > 1 and colors < 2**32:
+                    second_batch.add(colors.bit_length() <= 8)
+    assert second_batch == {True, False}
+
+
+def test_random_coloring_replays_per_edge_draws():
+    for colors in range(1, 10):
+        for seed in (0, 1, 2, 99, 2**40 + 3):
+            want = ColoredCompleteGraph.from_sparse(40, per_edge_draw(40, colors, seed))
+            assert random_coloring(RandomColoringConfig(40, colors, seed)) == want, (colors, seed)
 
 
 def test_estimate_matches_reference_estimate():
@@ -405,6 +431,48 @@ def _no_3ap_cases(draw):
 @given(_no_3ap_cases())
 def test_verify_no_3ap_matches_brute_fuzzed(values):
     assert verify_no_3ap(values) == brute_no_3ap(values)
+
+
+def test_verify_no_3ap_shared_residues_take_the_exact_check():
+    # the byte table is indexed mod a power of two of at most 2^13 here, so
+    # multiples of 2^40 (plus a few offsets) share residues: most pairs hit a
+    # marked byte, and only the exact probe tells a progression from a false hit
+    rng = random.Random(2024)
+    for trial in range(300):
+        offsets = rng.sample(range(-3, 4), rng.randint(1, 3))
+        vals = [rng.randrange(-60, 60) << 40 | rng.choice(offsets) % 8 for _ in range(rng.randint(0, 24))]
+        if trial % 3 == 0 and vals:  # plant x, y, 2y - x
+            x, y = rng.sample(vals, 2) if len(vals) > 1 else (vals[0], vals[0] + (1 << 40))
+            vals.append(2 * y - x)
+        rng.shuffle(vals)
+        assert verify_no_3ap(vals) == brute_no_3ap(vals), vals
+    assert verify_no_3ap([0, 1 << 40, 3 << 40, 4 << 40]) is None  # every pair is a byte hit
+    assert verify_no_3ap([0, 1 << 40, 3 << 40, 5 << 40]) == (1 << 40, 3 << 40, 5 << 40)
+
+
+def test_verify_no_3ap_near_ten_to_the_fifteen():
+    rng = random.Random(15)
+    for trial in range(200):
+        centre = rng.choice((-(10**15), 10**15))
+        vals = [centre + rng.randrange(-500, 500) for _ in range(rng.randint(0, 18))]
+        if trial % 2:
+            vals += [centre - 10**15, centre, centre + 10**15]  # spans 2 * 10^15
+        rng.shuffle(vals)
+        assert verify_no_3ap(vals) == brute_no_3ap(vals), vals
+
+
+def test_verify_no_3ap_matches_pair_probe_on_behrend_sets():
+    rng = random.Random(31)
+    for target in (6, 24, 130, 500, 1000):
+        s = behrend_set(target)
+        assert verify_no_3ap(s) is None and pair_probe_no_3ap(s) is None
+        for _ in range(4):
+            x, y = sorted(rng.sample(s, 2))
+            # x, y, 2y - x and 2x - y, x, y are progressions, and so is x, z, y
+            # when z = (x + y) // 2 is their midpoint
+            for z in (2 * y - x, 2 * x - y, (x + y) // 2):
+                planted = list(s) + [z]
+                assert verify_no_3ap(planted) == pair_probe_no_3ap(planted), (target, x, y, z)
 
 
 def test_verify_no_3ap_small_sets_and_the_bound():
