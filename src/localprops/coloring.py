@@ -58,8 +58,8 @@ alone.  With delta = C(n,2) - num_colors and limit = min(C(n,k),
 2 C(n,2) + 1), it holds if delta <= t, scans if 4(t+1) <= k (it fails,
 and the scan's first k-subsets show where), scans if delta^(t+1) >=
 limit (P >= delta, so the cores are not taken; decided in O(1), with
-no histogram), and otherwise reads P off color_histogram, the
-O(num_colors) view of the multiplicities, and searches the cores when
+no pass over the colors), and otherwise reads P off color_energy, an
+O(num_colors) sum over the multiplicities, and searches the cores when
 P^(t+1) < limit.  Both powers cap the exponent at
 limit.bit_length(), deciding the same: past it, a base >= 2 exceeds
 limit either way.  The second term of limit keeps the cores' work and
@@ -304,8 +304,8 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
     First comes the gate the module docstring sets out, with t =
     spec.repeat_budget, delta = C(n,2) - num_colors and limit =
     min(C(n,k), 2 C(n,2) + 1): holds with no scan when delta <= t; the
-    scan when 4(t+1) <= k or delta^(t+1) >= limit; otherwise P
-    same-colored edge pairs from one color_histogram, and _repeat_cores
+    scan when 4(t+1) <= k or delta^(t+1) >= limit; otherwise P =
+    (color_energy - C(n,2))/2 same-colored edge pairs, and _repeat_cores
     decides when P^(t+1) < limit (exponents capped at limit.bit_length()).
     Both paths give the same verdict, witness and witness_colors.
     """
@@ -320,10 +320,9 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
         limit = min(comb(n, k), 2 * len(edge_colors) + 1)
         e = min(t + 1, limit.bit_length())  # base**e < limit iff base**(t+1) < limit
         if deficiency**e < limit:
-            histogram = color_histogram(G)
-            pairs = sum(m * (m - 1) for m in histogram.values()) // 2
+            pairs = (color_energy(G) - len(edge_colors)) // 2
             if pairs**e < limit:
-                return _repeat_cores(G, spec, histogram)
+                return _repeat_cores(G, spec)
     at = _row_at(n)
     or_, lshift = operator.or_, operator.lshift
     path, stack = [0] * k, []
@@ -395,9 +394,9 @@ def verify_local_property(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyV
                         return PropertyVerdict(False, (*path[: k - 2], v, w), row.bit_count())
 
 
-def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) -> PropertyVerdict:
+def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec) -> PropertyVerdict:
     """verify_local_property(G, spec) for k <= n, from the unions of
-    same-colored edge pairs (module docstring); histogram is color_histogram(G).
+    same-colored edge pairs (module docstring).
 
     A core is the vertex mask of one same-colored pair, each distinct
     mask once, ascending; for k < 4 only the pairs with a common end,
@@ -414,14 +413,16 @@ def _repeat_cores(G: ColoredCompleteGraph, spec: LocalSpec, histogram: Counter) 
     at = _row_at(n)
     starts = list(map(operator.add, at, range(1, n + 1)))  # edge (u, u+1)
     if k >= 4:  # group the edges by color
-        keys, counts = edge_colors, histogram
+        keys = edge_colors
+        repeated = compress(range(G.num_colors), map(operator.gt, G.multiplicities, repeat(1)))
     else:  # by end and color, so that only pairs with a common end are formed
         q = G.num_colors  # key end * q + color: each edge at its lower end, then at its upper end
         lower = chain.from_iterable(map(repeat, range(0, n * q, q), range(n - 1, -1, -1)))
         upper = chain.from_iterable(map(range, range(q, n * q, q), repeat(n * q), repeat(q)))
         keys = [*map(operator.add, lower, edge_colors), *map(operator.add, upper, edge_colors)]
         counts = Counter(keys)
-    groups = {key: [] for key in compress(counts, map(operator.gt, counts.values(), repeat(1)))}
+        repeated = compress(counts, map(operator.gt, counts.values(), repeat(1)))
+    groups = {key: [] for key in repeated}
     for i in compress(range(len(keys)), map(groups.__contains__, keys)):
         e = i % len(edge_colors)
         u = bisect_right(starts, e) - 1

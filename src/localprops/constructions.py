@@ -50,6 +50,8 @@ _MASK64 = (1 << 64) - 1
 _BYTES = bytes(range(256))
 # _SHRINK[k] maps a word's top byte to its top k bits
 _SHRINK = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
+# words per getrandbits call in _draw: one call's bit count must stay below 2^31
+_BATCH_WORDS = 1 << 20
 
 
 def _mix_seed(seed: int, index: int) -> int:
@@ -100,8 +102,10 @@ def _draw(rng: random.Random, m: int, colors: int) -> list[int]:
     maps the rest to b >> (8 - k).  For larger k, one shift and one mask
     leave each word's top k bits in its own 32-bit lane, and the lanes are
     filtered in order.  Either way the draws replay that stream.  Each
-    batch is sized by the acceptance rate and may overdraw: rng must not
-    be used afterwards.
+    batch is sized by the acceptance rate, at most _BATCH_WORDS words, and
+    may overdraw: rng must not be used afterwards.  Consecutive
+    getrandbits(32a) and getrandbits(32b) calls give the words of one
+    getrandbits(32(a + b)), so the cap leaves the stream as it is.
     """
     k = colors.bit_length()
     if k > 32:  # here each getrandbits(k) spans several words
@@ -109,7 +113,7 @@ def _draw(rng: random.Random, m: int, colors: int) -> list[int]:
     lane = ((1 << k) - 1).to_bytes(4, "little")
     out: list[int] = []
     while len(out) < m:
-        w = ((m - len(out)) << k) // colors + 4
+        w = min(((m - len(out)) << k) // colors + 4, _BATCH_WORDS)
         words = rng.getrandbits(32 * w)
         if k <= 8:
             top_bytes = words.to_bytes(4 * w, "little")[3::4]

@@ -14,21 +14,21 @@ The search state is one int bitmask of colors per k-subset and step,
 held in a flat list of slots.  A k-subset {j} | U (j its largest vertex)
 is checked at each edge (u, j), u in U: a read takes the mask its
 previous step left in a slot and compares its popcount (int.bit_count,
-Python >= 3.10) with ell minus the subset's open edges; unless the edge
-is the subset's last, a grow ORs the color taken there into that mask
-and stores it in the slot the next step reads.  Before the first step
-the mask holds the colors of the C(k-1,2) edges inside U, filled into a
-base slot when the search enters vertex max(U)+1 by ORing those edges'
-entries in a per-position list of color bits.  Every slot is written at
-one position and read later (a base slot once in each column from its
-fill on), and nothing is undone on backtrack: a read sees only slots
-written earlier on the current path, and re-entering a position
-rewrites them.
+Python >= 3.10) plus the read's count of the subset's open edges with
+ell; unless the edge is the subset's last, a grow ORs the color taken
+there into that mask and stores it in the slot the next step reads.
+Before the first step the mask holds the colors of the C(k-1,2) edges
+inside U, filled into a base slot when the search enters vertex max(U)+1
+by ORing those edges' entries in a per-position list of color bits.
+Every slot is written at one position and read later (a base slot once
+in each column from its fill on), and nothing is undone on backtrack: a
+read sees only slots written earlier on the current path, and
+re-entering a position rewrites them.
 
 A color's bit either adds one to a mask's popcount or is already in it,
-so a read with mask s and bound need rejects every color when
-need - popcount(s) >= 2, only the colors in s when it is 1, and none
-otherwise.  On entering a position the search therefore makes one pass
+so a read with mask s and reach = popcount(s) + open edges rejects every
+color when reach <= ell - 2, only the colors in s when reach = ell - 1,
+and none otherwise.  On entering a position the search makes one pass
 over its reads and keeps the colors none rejects as that position's
 allowed mask; the mask stays valid until the position is re-entered,
 because only earlier positions write the slots it reads.  Each visit
@@ -45,11 +45,12 @@ min_colors() walks c upward from the multiplicity lower bound, when one
 applies (with cap = repeat_budget + 1 <= floor(k/2)-1, every color is
 capped at cap repeats, so at least ceil(C(n,2)/cap) colors are needed),
 and from 1 otherwise.  It gets the slot table once per solve and hands
-it to every level.  The table is built once per (n, k) while it fits the
-held-table budget, and rebound to each ell (_subset_checks), so a sweep
-over ell builds it once.  Because colors branch in ascending order, the
-first coloring found at the optimal level is the lexicographically least
-one in assignment order.
+it to every level.  The table holds no ell: one is built per (n, k)
+while it fits the held-table budget and serves every ell
+(_subset_checks), so a sweep over ell builds it once and does no work
+per call.  Because colors branch in ascending order, the first coloring
+found at the optimal level is the lexicographically least one in
+assignment order.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
-from operator import add, itemgetter
+from itertools import combinations
 
 from .coloring import ColoredCompleteGraph, LocalSpec, _hold, _require_ints, edge_count
 
@@ -106,7 +106,7 @@ class SolveResult:
 
 _Table = tuple[
     list[list[tuple[int, tuple[int, ...]]]],  # fills[p]: (base slot, positions of U's edges)
-    list[list[tuple[int, int]]],  # reads[p]: (prev slot, need)
+    list[list[tuple[int, int]]],  # reads[p]: (prev slot, edges left open after p)
     list[list[tuple[int, int]]],  # grows[p]: (slot, prev slot)
     int,  # slot count
 ]
@@ -121,35 +121,24 @@ def _table_entries(key: tuple[int, int]) -> int:
     return max(math.comb(n, k) * (k - 1), edge_count(n))
 
 
-# (n, k) -> (ell, table, prev of each read, need of each read, one slice
-# of those per position): tables built, held within TABLES_HELD entries
+# (n, k) -> table: tables built, held within TABLES_HELD entries
 _TABLES: dict = {}
 
 
-def _rebind(held, ell: int) -> _Table:
-    """The held table with every need moved from the held ell to ell: the
-    fills and grows lists are shared, the reads made in one pass."""
-    held_ell, table, prevs, needs, cuts = held
-    if ell == held_ell:
-        return table
-    fills, _, grows, slots = table
-    flat = list(zip(prevs, map(add, needs, repeat(ell - held_ell))))
-    return fills, list(map(flat.__getitem__, cuts)), grows, slots
-
-
-def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _Table | None:
+def _subset_checks(n: int, k: int, deadline: float | None = None) -> _Table | None:
     """Slot table for the DFS: (fills, reads, grows, slot count), one
     list of each per position in assignment order, edge (i, j) at position
     p = j(j-1)/2 + i.  Assigning it changes the k-subsets {j} | U with U a
-    (k-1)-subset of {0..j-1} containing i; #{u in U : u > i} of their
-    edges are still open.  reads[p] holds one (prev, need) per such
-    subset: prev is the slot holding the subset's color mask before this
-    edge (U's base slot at its first step, i = min U) and need = ell -
-    open.  grows[p] holds (slot, prev) for each of those subsets with an
-    open edge left: the mask after this edge goes into slot, which the
-    subset's next step reads.  A subset completing at p (i = max U) has
-    no grow, since nothing reads its mask again, so no slot is written
-    that nothing reads.  fills[p] holds (base slot, positions
+    (k-1)-subset of {0..j-1} containing i.  reads[p] holds one (prev,
+    left) per such subset: prev is the slot holding the subset's color
+    mask before this edge (U's base slot at its first step, i = min U),
+    and left = #{u in U : u > i} counts its edges still open after this
+    one: k - 2 at the first step, one less at each next, 0 at the last.
+    grows[p] holds (slot, prev) for each of those subsets with left > 0:
+    the mask after this edge goes into slot, which the subset's next step
+    reads.  A subset completing at p (i = max U) has no grow, since
+    nothing reads its mask again, so no slot is written that nothing
+    reads.  fills[p] holds (base slot, positions
     b(b-1)/2 + a of the edges (a, b) inside U) for every U with
     max(U) + 1 == j, filled when position p = (0, j) is entered; the
     first step of {j'} | U reads it in every column j' >= j.
@@ -170,24 +159,23 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
     deadline passes (checked before anything C(n,2)-long is allocated,
     then before each set).
 
-    ell enters the table only through each read's need, so a complete
-    table is kept per (n, k), within TABLES_HELD entries in all (oldest
-    dropped first, coloring._hold), and a later call with the same (n, k)
-    gets it rebound to its ell (_rebind), after one deadline check.  A
-    table over TABLES_HELD, such as (22, 6)'s, is built at every call.
+    No ell enters the table, so a complete one is kept per (n, k), within
+    TABLES_HELD entries in all (oldest dropped first, coloring._hold), and
+    a later call with the same (n, k), for any ell, gets that same object
+    if the deadline has not passed.  A table over TABLES_HELD, such as
+    (22, 6)'s, is built at every call.
     """
     size = _table_entries((n, k))
     if size > TABLE_LIMIT:
         raise ValueError(f"subset table for n={n}, k={k} needs {size} entries, over the limit {TABLE_LIMIT}")
     if deadline is not None and time.monotonic() > deadline:
         return None
-    held = _TABLES.get((n, k))
-    if held is not None:
-        return _rebind(held, ell)
+    if (held := _TABLES.get((n, k))) is not None:
+        return held
     fills, reads, grows = [], [], []  # per position, typed as in _Table
     tri = [b * (b - 1) // 2 for b in range(n)]  # edge (a, b) sits at position tri[b] + a
     slots = math.comb(n - 1, k - 1)  # the base slots come first, by colex rank
-    first = [(r, ell - k + 2) for r in range(slots)]  # U's first read, shared by every column
+    first = [(r, k - 2) for r in range(slots)]  # U's first read, shared by every column
     # the (k-2)-subsets V of range(n-2) in colex order (lex order reversed, on
     # reversed sets), so those of range(i) come first
     vs = [v[::-1] for v in combinations(range(n - 3, -1, -1), k - 2)][::-1]
@@ -205,15 +193,10 @@ def _subset_checks(n: int, k: int, ell: int, deadline: float | None = None) -> _
                 for a in v:
                     reads[col + a].append(read)
                     grows[col + a].append((slots, prev))
-                    read, prev, slots = (slots, read[1] + 1), slots, slots + 1
+                    read, prev, slots = (slots, read[1] - 1), slots, slots + 1
                 reads[col + i].append(read)
     table = fills, reads, grows, slots
-    if size <= TABLES_HELD:
-        flat = list(chain.from_iterable(reads))
-        ends = list(accumulate(map(len, reads)))
-        cuts = list(map(slice, [0, *ends], ends))
-        held = ell, table, list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat)), cuts
-        _hold(_TABLES, (n, k), held, _table_entries, TABLES_HELD)
+    _hold(_TABLES, (n, k), table, _table_entries, TABLES_HELD)
     return table
 
 
@@ -253,11 +236,11 @@ def feasible(
     if _deadline is None and budget and budget.time_limit_s is not None:
         _deadline = time.monotonic() + budget.time_limit_s
     if _table is None:
-        _table = _subset_checks(n, spec.k, spec.ell, _deadline)
+        _table = _subset_checks(n, spec.k, _deadline)
         if _table is None:
             return FeasibleOutcome("exhausted", None, 0)
     fills, reads, grows, slots = _table
-    m = edge_count(n)
+    ell, m = spec.ell, edge_count(n)
     cols = [-1] * m
     bits = [0] * m  # per position: 1 << cols[pos], what base fills OR together
     tops = [0] * (m + 1)  # per position: the highest color its branches may take
@@ -275,11 +258,12 @@ def feasible(
                     mask |= bits[q]
                 state[slot] = mask
             rest = (2 << top) - 1
-            for prev, need in reads[pos]:
+            for prev, left in reads[pos]:
                 seen = state[prev]
-                if seen.bit_count() < need:
+                reach = seen.bit_count() + left  # the most colors the subset can end with
+                if reach < ell:
                     # one missing color: only colors seen already fail
-                    rest = rest & ~seen if seen.bit_count() + 1 == need else 0
+                    rest = rest & ~seen if reach + 1 == ell else 0
                     if not rest:
                         break
         else:
@@ -349,7 +333,7 @@ def min_colors(n: int, spec: LocalSpec, budget: SolveBudget | None = None) -> So
     table = None  # built at the first level that searches
     for c in range(start, edge_count(n) + 1):
         if table is None and c >= spec.ell:
-            table = _subset_checks(n, spec.k, spec.ell, deadline)
+            table = _subset_checks(n, spec.k, deadline)
             if table is None:
                 log.append((c, 0, "exhausted"))
                 break

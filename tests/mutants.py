@@ -220,30 +220,30 @@ MUTANTS = (
         ("test_forbidden.py",),
         "the lemma's m is the least subset size",
     ),
-    # solver: reads, grows, first use, start level, held tables
-    Mutant(
-        "rebind-delta-sign",
-        "solver.py",
-        "repeat(ell - held_ell)",
-        "repeat(held_ell - ell)",
-        ("test_solver.py",),
-        "a need moves with ell: need = ell - open",
-    ),
+    # solver: reads, grows, first use, start level
     Mutant(
         "table-read-need",
         "solver.py",
-        "read, prev, slots = (slots, read[1] + 1), slots, slots + 1",
+        "read, prev, slots = (slots, read[1] - 1), slots, slots + 1",
         "read, prev, slots = (slots, read[1]), slots, slots + 1",
         ("test_solver.py",),
-        "each assigned edge leaves one fewer open, so the next read needs one more color",
+        "each assigned edge leaves one fewer open, so the next read has one fewer to count",
     ),
     Mutant(
-        "table-held",
+        "table-first-open",
         "solver.py",
-        "    if size <= TABLES_HELD:\n",
-        "    if size < 0:\n",
+        "(r, k - 2)",
+        "(r, k - 3)",
         ("test_solver.py",),
-        "a table within TABLES_HELD is kept, so a later ell rebinds it instead of building it again",
+        "U's first read comes before k - 1 of the subset's edges: k - 2 more stay open after it",
+    ),
+    Mutant(
+        "dfs-one-missing",
+        "solver.py",
+        "rest = rest & ~seen if reach + 1 == ell else 0",
+        "rest = rest & ~seen if reach == ell else 0",
+        ("test_solver.py",),
+        "a subset one color short of ell still takes any color it has not seen",
     ),
     Mutant(
         "dfs-grow",
@@ -272,8 +272,8 @@ MUTANTS = (
     Mutant(
         "dfs-reads-completing-last",
         "solver.py",
-        "for prev, need in reads[pos]:",
-        "for prev, need in reversed(reads[pos]):",
+        "for prev, left in reads[pos]:",
+        "for prev, left in reversed(reads[pos]):",
         ("test_solver.py",),
         "reading the completing subsets last changes when the pass stops, not the mask it ends with "
         "(an AND of the same masks) nor any node count",
@@ -376,6 +376,14 @@ MUTANTS = (
         "if v <= colors]",
         ("test_constructions.py",),
         "randrange(colors) rejects a lane equal to colors",
+    ),
+    Mutant(
+        "draw-batch-cap",
+        "constructions.py",
+        "w = min(((m - len(out)) << k) // colors + 4, _BATCH_WORDS)",
+        "w = ((m - len(out)) << k) // colors + 4",
+        ("test_constructions.py",),
+        "one getrandbits call must stay below 2^31 bits, so a batch holds at most _BATCH_WORDS words",
     ),
     Mutant(
         "no-3ap-bisection-bound",

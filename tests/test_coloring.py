@@ -196,7 +196,7 @@ def _bounded_spec(draw, g, k, t_lo=0):
 
 
 def _assert_cores_match_brute(g, spec):
-    v = _repeat_cores(g, spec, color_histogram(g))
+    v = _repeat_cores(g, spec)
     assert (v.holds, v.witness, v.witness_colors) == brute_verdict(g, spec.k, spec.ell)
     return v
 
@@ -275,8 +275,8 @@ def test_repeat_cores_find_a_union_of_exactly_k_vertices(case):
 
 
 def _gate_path(monkeypatch, g, spec):
-    """verify_local_property(g, spec) with color_histogram and _repeat_cores
-    watched: (verdict, histogram built, cores searched)."""
+    """verify_local_property(g, spec) with color_energy and _repeat_cores
+    watched: (verdict, P counted, cores searched)."""
     seen = []
 
     def watch(name, real):
@@ -286,11 +286,11 @@ def _gate_path(monkeypatch, g, spec):
 
         monkeypatch.setattr(coloring, name, call)
 
-    watch("color_histogram", coloring.color_histogram)
+    watch("color_energy", coloring.color_energy)
     watch("_repeat_cores", coloring._repeat_cores)
     v = verify_local_property(g, spec)
     monkeypatch.undo()
-    return (v.holds, v.witness, v.witness_colors), "color_histogram" in seen, "_repeat_cores" in seen
+    return (v.holds, v.witness, v.witness_colors), "color_energy" in seen, "_repeat_cores" in seen
 
 
 def _pairs_graph(n, pairs):
@@ -299,7 +299,7 @@ def _pairs_graph(n, pairs):
 
 
 def test_gate_takes_each_stage_on_both_sides(monkeypatch):
-    # (graph, spec, histogram built, cores searched); with limit =
+    # (graph, spec, P counted, cores searched); with limit =
     # min(C(n,k), 2 C(n,2) + 1), delta and P by stage
     cases = [
         # 1. delta <= t holds at once; delta = t + 1 goes on
@@ -318,13 +318,13 @@ def test_gate_takes_each_stage_on_both_sides(monkeypatch):
         # 4. P^(t+1) < limit: the cores, as at P = 3 and P^2 = 49 above;
         #    one color on five edges of K_5 (P = 10 >= C(5,3) = 10 at delta
         #    = 4), and on four edges of K_8 with two more pairs (P^2 = 64 at
-        #    delta^2 = 25) build the histogram, then scan
+        #    delta^2 = 25) count P, then scan
         (_plant_repeats(5, [(e, 0) for e in range(1, 5)]), LocalSpec(3, 3), True, False),
         (_plant_repeats(8, [(1, 0), (2, 0), (3, 0), (5, 4), (7, 6)]), LocalSpec(4, 5), True, False),
     ]
-    for g, spec, histogram, cores in cases:
+    for g, spec, counted, cores in cases:
         got, built, searched = _gate_path(monkeypatch, g, spec)
-        assert (built, searched) == (histogram, cores), (g, spec)
+        assert (built, searched) == (counted, cores), (g, spec)
         assert got == brute_verdict(g, spec.k, spec.ell), (g, spec)
 
 
@@ -356,8 +356,8 @@ def test_gate_keeps_the_cores_within_the_input_size(monkeypatch):
     # k-subsets.  200 random colors on K_200 have P near 10^6, which the
     # cores would first build as that many pair masks: the gate scans at
     # once, in the scan's O(k) memory.  One color on 100 edges has delta^2
-    # = 99^2 < 2 C(200,2) but P^2 = 4950^2 above it: the histogram, then
-    # the scan.
+    # = 99^2 < 2 C(200,2) but P^2 = 4950^2 above it: P from the color
+    # energy, then the scan.
     g = random_coloring(RandomColoringConfig(200, 200, 7))
     tracemalloc.start()
     try:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localprops.constructions as constructions
 from localprops import (
     ColoredCompleteGraph,
     LocalSpec,
@@ -196,6 +197,19 @@ def test_batched_draws_replay_per_edge_randrange():
                 if rng.calls > 1 and colors < 2**32:
                     second_batch.add(colors.bit_length() <= 8)
     assert second_batch == {True, False}
+
+
+def test_capped_batches_continue_one_stream(monkeypatch):
+    # a batch holds at most _BATCH_WORDS words, so a large draw never asks
+    # getrandbits for 2^31 bits or more; at 3 words a batch, the draws span
+    # many batches on the byte path (5, 200) and the lane path (300, 70000)
+    monkeypatch.setattr(constructions, "_BATCH_WORDS", 3)
+    for colors in (5, 200, 300, 70000):
+        for seed in (0, 7):
+            want = random.Random(seed)
+            rng = _CountingRandom(seed)
+            assert _draw(rng, 400, colors) == [want.randrange(colors) for _ in range(400)], (colors, seed)
+            assert rng.calls > 100, (colors, seed)
 
 
 def test_random_coloring_replays_per_edge_draws():

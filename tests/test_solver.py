@@ -212,8 +212,7 @@ def test_subset_table_writes_each_slot_once_and_reads_every_slot():
     for n in range(3, 10):
         order = [(i, j) for j in range(1, n) for i in range(j)]
         for k in range(2, min(n, 6 if n <= 8 else 5) + 1):
-            ell = comb(k, 2)
-            fills, reads, grows, slots = _subset_checks(n, k, ell)
+            fills, reads, grows, slots = _subset_checks(n, k)
             assert slots == comb(n - 1, k - 1) + (k - 2) * sum(comb(j, k - 1) for j in range(k - 1, n)), (n, k)
             written = {}  # slot -> (position, kind)
             for p, (i, j) in enumerate(order):
@@ -231,9 +230,9 @@ def test_subset_table_writes_each_slot_once_and_reads_every_slot():
                 assert len(reads[p]) == comb(j - 1, k - 2), (n, k, p)
                 # the subsets completing here (max U = i) come first
                 completing = comb(i, k - 2)
-                needs = [need for _, need in reads[p]]
-                assert needs[:completing] == [ell] * completing, (n, k, p)
-                assert ell not in needs[completing:], (n, k, p)
+                opens = [left for _, left in reads[p]]
+                assert opens[:completing] == [0] * completing, (n, k, p)
+                assert all(1 <= left <= k - 2 for left in opens[completing:]), (n, k, p)
                 # the rest grow, each from the slot it reads
                 assert [prev for _, prev in grows[p]] == [prev for prev, _ in reads[p][completing:]]
                 for prev, _ in reads[p]:
@@ -252,7 +251,7 @@ def test_subset_table_reads_see_each_subsets_colors_in_colex_order():
     # entering (0, max U + 1) into base slot r(U), its colex rank, and a
     # replay of one seeded coloring, run as feasible runs a position
     # (fills, then reads, then grows), shows every read the colors its
-    # subset's assigned edges hold and ell minus its open edges.  The
+    # subset's assigned edges hold and the count of its open edges.  The
     # completing subsets come first, each group in colex order of U.
     def position(a, b):
         return b * (b - 1) // 2 + a
@@ -261,26 +260,25 @@ def test_subset_table_reads_see_each_subsets_colors_in_colex_order():
     for n in range(2, 9):
         order = [(i, j) for j in range(1, n) for i in range(j)]
         for k in range(2, min(n, 6) + 1):
-            for ell in sorted({1, comb(k, 2)}):
-                fills, reads, grows, slots = _subset_checks(n, k, ell)
-                bits = [1 << rng.randrange(4) for _ in order]
-                state = [None] * slots  # a read of a slot not yet written sees None
-                for p, (i, j) in enumerate(order):
-                    colex = sorted(combinations(range(j), k - 1), key=lambda u: u[::-1])
-                    opened = [u for u in colex if i == 0 and u[-1] == j - 1]
-                    want = [(sum(map(comb, u, range(1, k))), tuple(position(a, b) for a, b in combinations(u, 2))) for u in opened]
-                    assert fills[p] == want, (n, k, ell, p)
-                    for slot, edges in fills[p]:
-                        state[slot] = reduce(or_, [bits[q] for q in edges], 0)
-                    completing = [u for u in colex if u[-1] == i]
-                    rest = [u for u in colex if i in u[:-1]]
-                    want = []
-                    for u in completing + rest:
-                        assigned = [position(a, b) for a, b in combinations((*u, j), 2) if position(a, b) < p]
-                        want.append((reduce(or_, [bits[q] for q in assigned], 0), ell - sum(u_m > i for u_m in u)))
-                    assert [(state[prev], need) for prev, need in reads[p]] == want, (n, k, ell, p)
-                    for slot, prev in grows[p]:
-                        state[slot] = state[prev] | bits[p]
+            fills, reads, grows, slots = _subset_checks(n, k)
+            bits = [1 << rng.randrange(4) for _ in order]
+            state = [None] * slots  # a read of a slot not yet written sees None
+            for p, (i, j) in enumerate(order):
+                colex = sorted(combinations(range(j), k - 1), key=lambda u: u[::-1])
+                opened = [u for u in colex if i == 0 and u[-1] == j - 1]
+                want = [(sum(map(comb, u, range(1, k))), tuple(position(a, b) for a, b in combinations(u, 2))) for u in opened]
+                assert fills[p] == want, (n, k, p)
+                for slot, edges in fills[p]:
+                    state[slot] = reduce(or_, [bits[q] for q in edges], 0)
+                completing = [u for u in colex if u[-1] == i]
+                rest = [u for u in colex if i in u[:-1]]
+                want = []
+                for u in completing + rest:
+                    assigned = [position(a, b) for a, b in combinations((*u, j), 2) if position(a, b) < p]
+                    want.append((reduce(or_, [bits[q] for q in assigned], 0), sum(u_m > i for u_m in u)))
+                assert [(state[prev], left) for prev, left in reads[p]] == want, (n, k, p)
+                for slot, prev in grows[p]:
+                    state[slot] = state[prev] | bits[p]
 
 
 def test_min_colors_calls_feasible_by_its_module_name(monkeypatch):
@@ -453,25 +451,26 @@ def test_oversized_subset_table_is_refused_before_it_is_built():
 
 
 def test_a_held_table_solves_as_a_fresh_build():
-    # every f-table spec, solved with no table held and with another ell's
-    # table held for its (n, k): the rebound table equals a fresh build,
-    # so the whole result does too
+    # every f-table spec, solved with no table held and with the table
+    # another ell's solve left held for its (n, k): every ell of (n, k)
+    # gets that one held object, which equals a fresh build, so the whole
+    # result is the same too
     budget = SolveBudget(node_limit=20_000)
     held = solver_module._TABLES
     for n in range(4, 10):
         for k in range(3, min(n, 5) + 1):
             top = comb(k, 2)
             for ell in range(1, top + 1):
-                other = ell % top + 1
                 held.clear()
                 cold = min_colors(n, LocalSpec(k, ell), budget)
                 held.clear()
-                fresh = _subset_checks(n, k, ell)
+                fresh = _subset_checks(n, k)
                 held.clear()
-                _subset_checks(n, k, other)
-                assert _subset_checks(n, k, ell) == fresh, (n, k, ell)
-                assert [(key, entry[0]) for key, entry in held.items()] == [((n, k), other)]
+                min_colors(n, LocalSpec(k, ell % top + 1), budget)
+                table = held[(n, k)]
+                assert table == fresh and list(held) == [(n, k)], (n, k, ell)
                 assert min_colors(n, LocalSpec(k, ell), budget) == cold, (n, k, ell)
+                assert held[(n, k)] is table and _subset_checks(n, k) is table, (n, k, ell)
 
 
 def test_held_tables_stay_within_their_budget():
@@ -480,22 +479,22 @@ def test_held_tables_stay_within_their_budget():
     assert budget == solver_module.TABLE_LIMIT // 64
     held.clear()
     keys = [(n, k) for n in range(3, 31) for k in range(2, min(n, 5) + 1) if entries((n, k)) <= 2 * budget]
-    for step, (n, k) in enumerate(keys[::-1] + keys[::7]):
-        _subset_checks(n, k, step % comb(k, 2) + 1)
+    for n, k in keys[::-1] + keys[::7]:
+        _subset_checks(n, k)
         assert sum(map(entries, held)) <= budget, (n, k)
         assert ((n, k) in held) == (entries((n, k)) <= budget), (n, k)
     # a build the deadline stopped is not held, and a held table is not
-    # rebound once the deadline has passed
+    # returned once the deadline has passed
     held.clear()
-    assert _subset_checks(12, 5, 7, time.monotonic() - 1) is None and not held
-    _subset_checks(12, 5, 7)
-    assert _subset_checks(12, 5, 3, time.monotonic() - 1) is None
+    assert _subset_checks(12, 5, time.monotonic() - 1) is None and not held
+    _subset_checks(12, 5)
+    assert _subset_checks(12, 5, time.monotonic() - 1) is None
     # (22, 6) is over the budget, so it is never held, whole or stopped
     held.clear()
     assert entries((22, 6)) > budget
     res = min_colors(22, LocalSpec(6, 12), SolveBudget(time_limit_s=0.02))
     assert res.log[-1] == (12, 0, "exhausted") and not held
-    _subset_checks(22, 6, 12)
+    _subset_checks(22, 6)
     assert not held
 
 
