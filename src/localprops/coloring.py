@@ -120,21 +120,24 @@ def _row_at(n: int) -> tuple[int, ...]:
     return tuple(u * n - u * (u + 1) // 2 - u - 1 for u in range(n))
 
 
-def _hold(cache: dict, key, value, size, budget: int) -> None:
+HELD_ENTRIES = 31_250  # entries each cache kept across calls may hold (_hold)
+
+
+def _hold(cache: dict, key, value, size) -> None:
     """Keep value in cache under key, each key counted as size(key)
-    entries: a value over budget on its own is not kept, and the oldest
-    keys go first until the held total is within budget.  Only atomic
-    dict operations (an assignment, a list of the keys, pop(key, None)),
-    so threads share a cache with no lock: two calls may both build one
-    value or both drop one key, and the total passes budget only between
-    a call's assignment and its evictions."""
-    if size(key) > budget:
+    entries: a value over HELD_ENTRIES on its own is not kept, and the
+    oldest keys go first until the held total is within HELD_ENTRIES.
+    Only atomic dict operations (an assignment, a list of the keys,
+    pop(key, None)), so threads share a cache with no lock: two calls may
+    both build one value or both drop one key, and the total passes the
+    budget only between a call's assignment and its evictions."""
+    if size(key) > HELD_ENTRIES:
         return
     cache[key] = value
     keys = list(cache)
     total = sum(map(size, keys))
     for old in keys:
-        if total <= budget:
+        if total <= HELD_ENTRIES:
             break
         cache.pop(old, None)
         total -= size(old)
@@ -145,7 +148,7 @@ class ColoredCompleteGraph:
     """A complete graph on n vertices with one color id per edge.
 
     edge_colors[edge_index(n, i, j)] is the color of edge (i, j).  Color
-    ids must be dense ints; use from_sparse() to normalize arbitrary ids.
+    ids must be dense ints; use from_sparse() to rank sparse int ids.
     multiplicities[c] is the number of edges of color c (module
     docstring).  It is derived, so repr, equality and hashing leave it out.
     """
@@ -168,26 +171,17 @@ class ColoredCompleteGraph:
 
     @classmethod
     def from_sparse(cls, n: int, colors) -> "ColoredCompleteGraph":
-        """Build a graph from hashable color ids of one type, densified.
+        """Build a graph from int color ids that need not be dense.
 
-        Ids are remapped to 0..num_colors-1 in ascending order of the
-        original ids, so equal inputs always normalize identically.  Ids
-        of two types (1 and 1.0 compare equal, 1 and "a" do not order),
-        unhashable ids, or ids of one type that does not order raise
-        ValueError.  The shape is checked as in direct construction; the
-        remapped ids are dense ints by construction, so not checked again.
+        The shape and every id are checked as in direct construction,
+        with the same messages; _dense then ranks the ids to
+        0..num_colors-1 in ascending order, so equal inputs always
+        normalize identically.
         """
         colors = list(colors)
         _check_shape(n, len(colors))
-        types = set(map(type, colors))
-        if len(types) > 1:
-            raise ValueError(f"color ids must share one type, got {sorted(t.__name__ for t in types)}")
-        try:
-            ids = sorted(set(colors))
-        except TypeError as exc:
-            raise ValueError(f"color ids must be hashable and ordered: {exc}") from None
-        # ranked here, so that _dense sees ints whatever type came in
-        return cls._dense(n, list(map(dict(zip(ids, range(len(ids)))).__getitem__, colors)))
+        _require_ints(colors, "color ids")
+        return cls._dense(n, colors)
 
     @classmethod
     def _dense(cls, n: int, colors) -> "ColoredCompleteGraph":
@@ -197,8 +191,9 @@ class ColoredCompleteGraph:
         those are ranked 0..num_colors-1 in ascending order unless they
         already are.  For the library's own producers, which make int ids
         of the right count by construction, and for from_sparse and the
-        constructor after their checks (the constructor refuses ids that
-        had to be ranked).  colors is a sequence: it is read twice.
+        constructor after their one check of shape and int ids (the
+        constructor refuses ids that had to be ranked, from_sparse keeps
+        the ranking).  colors is a sequence: it is read twice.
         """
         counts = Counter(colors)
         ids = sorted(counts)

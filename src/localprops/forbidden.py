@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import add, eq, ge, mul, or_
+from operator import add, eq, ge, mul, or_, rshift
 
 from .coloring import ColoredCompleteGraph, LocalSpec, _hold, _require_ints
 
@@ -72,20 +72,17 @@ class DetectorParams:
         return LocalSpec(kk, comb(kk, 2) - self.mono_degree_cap + 1)
 
 
-ENDPOINTS_HELD = 31_250  # entries _endpoints keeps across calls, 3 C(n,2) per n
-
-
 def _endpoint_entries(n: int) -> int:
     return 3 * comb(n, 2)
 
 
-_ENDPOINTS: dict = {}  # n -> _endpoints(n), within ENDPOINTS_HELD (coloring._hold)
+_ENDPOINTS: dict = {}  # n -> _endpoints(n), within coloring.HELD_ENTRIES (_hold)
 
 
 def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Per edge index of K_n: its lower endpoint, its upper endpoint, and
     the two as a vertex bitmask; row-major, as edge_colors is stored.
-    Kept for the sizes that fit ENDPOINTS_HELD (each n <= 144 alone), so
+    Kept for the sizes that fit HELD_ENTRIES (each n <= 144 alone), so
     a large graph leaves nothing C(n,2)-long behind."""
     held = _ENDPOINTS.get(n)
     if held is None:
@@ -93,7 +90,7 @@ def _endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
         hi = tuple(chain.from_iterable(map(range, range(1, n), repeat(n))))
         bits = [1 << v for v in range(n)]
         held = lo, hi, tuple(map(or_, map(bits.__getitem__, lo), map(bits.__getitem__, hi)))
-        _hold(_ENDPOINTS, n, held, _endpoint_entries, ENDPOINTS_HELD)
+        _hold(_ENDPOINTS, n, held, _endpoint_entries)
     return held
 
 
@@ -154,12 +151,12 @@ def popular_intersection_search(
     each partial intersection exits early once its size drops below a.
     Raises BudgetExceededError when the number of b-tuples exceeds
     tuple_budget (pass None to scan regardless).  j and tuple_budget
-    must be ints.
+    must be ints; m >= 2^j is tested as m >> j, so no 2^j is built.
     """
     _require_ints((j,) if tuple_budget is None else (j, tuple_budget), "j and tuple_budget")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    popular = list(compress(range(G.num_colors), map(ge, G.multiplicities, repeat(1 << j))))
+    popular = list(compress(range(G.num_colors), map(rshift, G.multiplicities, repeat(j))))
     a, b = p.a, p.b
     if len(popular) < b:
         return None

@@ -8,10 +8,10 @@ point set     an array of [x, y] integer pairs.
 set system    {"n": int, "sets": [[int, ...], ...], "d": int}.
 
 Loaders check shape and constructors check values.  A loader checks
-structure, required fields, [x, y] pairs, and "colors" as ints (from_sparse
-takes any hashable ids); the constructor it calls checks every value, and
-those errors carry no file path.  JSON true/false load as bool, an int
-subclass, and are refused wherever an integer is due.
+structure, required fields and [x, y] pairs; the constructor it calls
+checks every value, and those errors carry no file path.  JSON
+true/false load as bool, an int subclass, and are refused wherever an
+integer is due.
 
 Writers emit canonical bytes (sorted keys, fixed separators, trailing
 newline) so identical data always produces identical files.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .coloring import ColoredCompleteGraph, _require_ints
+from .coloring import ColoredCompleteGraph
 from .forbidden import SetSystem
 from .numbersets import integer_set, point_set
 
@@ -58,7 +58,6 @@ def load_coloring(path) -> ColoredCompleteGraph:
     colors = data["colors"]
     if not isinstance(colors, list):
         raise ValueError(f"{path}: 'colors' must be an array of integers")
-    _require_ints(colors, f"{path}: 'colors'")
     return ColoredCompleteGraph.from_sparse(data["n"], colors)
 
 

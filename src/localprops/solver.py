@@ -112,7 +112,6 @@ _Table = tuple[
 ]
 
 TABLE_LIMIT = 2_000_000  # reads or positions a subset table may hold
-TABLES_HELD = TABLE_LIMIT // 64  # entries _subset_checks keeps across calls
 
 
 def _table_entries(key: tuple[int, int]) -> int:
@@ -121,7 +120,7 @@ def _table_entries(key: tuple[int, int]) -> int:
     return max(math.comb(n, k) * (k - 1), edge_count(n))
 
 
-# (n, k) -> table: tables built, held within TABLES_HELD entries
+# (n, k) -> table: tables built, held within coloring.HELD_ENTRIES entries
 _TABLES: dict = {}
 
 
@@ -160,9 +159,9 @@ def _subset_checks(n: int, k: int, deadline: float | None = None) -> _Table | No
     then before each set).
 
     No ell enters the table, so a complete one is kept per (n, k), within
-    TABLES_HELD entries in all (oldest dropped first, coloring._hold), and
+    HELD_ENTRIES entries in all (oldest dropped first, coloring._hold), and
     a later call with the same (n, k), for any ell, gets that same object
-    if the deadline has not passed.  A table over TABLES_HELD, such as
+    if the deadline has not passed.  A table over HELD_ENTRIES, such as
     (22, 6)'s, is built at every call.
     """
     size = _table_entries((n, k))
@@ -196,7 +195,7 @@ def _subset_checks(n: int, k: int, deadline: float | None = None) -> _Table | No
                     read, prev, slots = (slots, read[1] - 1), slots, slots + 1
                 reads[col + i].append(read)
     table = fills, reads, grows, slots
-    _hold(_TABLES, (n, k), table, _table_entries, TABLES_HELD)
+    _hold(_TABLES, (n, k), table, _table_entries)
     return table
 
 

@@ -90,12 +90,12 @@ MUTANTS = (
         "multiplicities[c] belongs to color c",
     ),
     Mutant(
-        "from-sparse-hash-outside-try",
+        "from-sparse-int-check",
         "coloring.py",
-        "        try:\n            ids = sorted(set(colors))\n",
-        "        distinct = set(colors)\n        try:\n            ids = sorted(distinct)\n",
-        ("test_coloring.py",),
-        "unhashable ids must raise ValueError like every other bad id, not a bare TypeError",
+        '        _require_ints(colors, "color ids")\n        return cls._dense(n, colors)',
+        "        return cls._dense(n, colors)",
+        ("test_coloring.py", "test_cli.py"),
+        "from_sparse, and so the coloring loader, must refuse ids that are not ints as the constructor does",
     ),
     # coloring: the verifier's gate, the cores and the raw-id shortcut
     Mutant(
@@ -187,7 +187,7 @@ MUTANTS = (
         ("test_energy.py", "test_statistics.py"),
         "the crossover index is the graph's own n's",
     ),
-    # forbidden: the derived parameters, set once at construction
+    # forbidden: the derived parameters, set once at construction, and the popular colors
     Mutant(
         "detector-a",
         "forbidden.py",
@@ -211,6 +211,14 @@ MUTANTS = (
         '"mono_degree_cap", b * a - a)',
         ("test_forbidden.py",),
         "the cap is b a - b, which b a - a matches only when a = b, as at (6, 2)",
+    ),
+    Mutant(
+        "popular-shift",
+        "forbidden.py",
+        "repeat(j)",
+        "repeat(j + 1)",
+        ("test_forbidden.py",),
+        "a color is popular when m >> j is nonzero, i.e. m >= 2^j, not 2^(j+1)",
     ),
     Mutant(
         "set-system-min-size",

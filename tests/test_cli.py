@@ -65,8 +65,8 @@ def test_boolean_ids_in_input_exit_2_without_traceback(tmp_path):
 def test_non_integer_values_in_input_exit_2_with_one_error_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     cases = [
-        ("verify-coloring", {"n": 3, "colors": [0.0, 0.0, 1.0]}, f"{bad}: 'colors' must be integers, got 0.0"),
-        ("verify-coloring", {"n": 3, "colors": [0, 1, True]}, f"{bad}: 'colors' must be integers, got True"),
+        ("verify-coloring", {"n": 3, "colors": [0.0, 0.0, 1.0]}, "color ids must be integers, got 0.0"),
+        ("verify-coloring", {"n": 3, "colors": [0, 1, True]}, "color ids must be integers, got True"),
         ("lemma-check", {"n": 5, "sets": [[0, 1.5]], "d": 2}, "set elements must be integers, got 1.5"),
         ("lemma-check", {"n": 5, "sets": [["a"]], "d": 2}, "set elements must be integers, got 'a'"),
         ("lemma-check", {"n": 5, "sets": [[0, [1]]], "d": 2}, "set elements must be integers, got [1]"),

@@ -69,7 +69,8 @@ def test_graph_validation():
     g = ColoredCompleteGraph.from_sparse(3, (5, 5, 9))
     assert g.edge_colors == (0, 0, 1)
     assert g.num_colors == 2
-    assert ColoredCompleteGraph.from_sparse(3, ("b", "a", "b")).edge_colors == (1, 0, 1)  # any hashable ids
+    with pytest.raises(ValueError, match=r"^color ids must be integers, got 'b'$"):
+        ColoredCompleteGraph.from_sparse(3, ("b", "a", "b"))  # ids are ints, as in direct construction
     assert ColoredCompleteGraph(1, ()).num_colors == 0
 
 
@@ -491,11 +492,15 @@ def test_from_sparse_keeps_the_shape_checks():
         assert str(sparse.value) == str(direct.value)
 
 
-def test_from_sparse_turns_dense_ids_of_another_type_into_ints():
-    # 0.0 and 1.0 (or False and True) already span 0..q-1 by value, yet must be ranked
-    for colors in ([1.0, 0.0, 1.0], [True, False, True]):
-        g = ColoredCompleteGraph.from_sparse(3, colors)
-        assert g.edge_colors == (1, 0, 1) and all(type(c) is int for c in g.edge_colors)
+def test_from_sparse_refuses_dense_ids_of_another_type():
+    # 0.0 and 1.0 (or False and True) span 0..q-1 by value, yet are not ints:
+    # refused with the public constructor's message
+    for colors in ([1.0, 0.0, 1.0], [True, False, True], [1.5, 0.5, 1.5], ("b", "a", "b")):
+        with pytest.raises(ValueError) as direct:
+            ColoredCompleteGraph(3, colors)
+        with pytest.raises(ValueError) as sparse:
+            ColoredCompleteGraph.from_sparse(3, colors)
+        assert str(sparse.value) == str(direct.value)
 
 
 def _assert_counted_once(g):
@@ -550,13 +555,16 @@ def test_one_count_whatever_the_construction_path(sparse_case, colors, seed, val
 
 
 def test_from_sparse_refuses_ids_that_do_not_order_or_differ_in_type():
-    # ids of two types are refused before they are sorted or merged: 1 and
-    # "a" do not order, and 1, 1.0 and True would merge into one color; lists
-    # share one type but do not hash
-    for colors in ([1, "a", 2], [1, 1.0, True], [2, 1, 1.5], [(1,), ("a",), (2,)], [1j, 2j, 1j], [[1], [2], [1]]):
-        with pytest.raises(ValueError, match="^color ids must"):
+    # any id that is not an int is refused before it is sorted or merged: 1
+    # and "a" do not order, 1, 1.0 and True would merge into one color, and
+    # lists do not hash; the message is the public constructor's
+    cases = ([1, "a", 2], [1, 1.0, True], [2, 1, 1.5], [(1,), ("a",), (2,)], [1j, 2j, 1j], [[1], [2], [1]])
+    for colors in (*cases, [1.5, 0.5, 1.5], ("b", "a", "b")):
+        with pytest.raises(ValueError) as direct:
+            ColoredCompleteGraph(3, colors)
+        with pytest.raises(ValueError, match="^color ids must be integers, got ") as sparse:
             ColoredCompleteGraph.from_sparse(3, colors)
-    assert ColoredCompleteGraph.from_sparse(3, [1.5, 0.5, 1.5]).edge_colors == (1, 0, 1)
+        assert str(sparse.value) == str(direct.value)
 
 
 def test_local_spec_takes_only_ints():

@@ -28,6 +28,7 @@ from localprops import (
     verify_local_property,
 )
 from localprops import forbidden
+from localprops.coloring import HELD_ENTRIES
 from oracles import (
     brute_lemma_find,
     brute_popular,
@@ -162,8 +163,8 @@ def test_endpoint_tables_are_held_only_within_their_budget():
     assert 1000 not in held
     for n in range(2, 200, 7):
         forbidden._endpoints(n)
-        assert sum(map(forbidden._endpoint_entries, held)) <= forbidden.ENDPOINTS_HELD
-        assert (n in held) == (forbidden._endpoint_entries(n) <= forbidden.ENDPOINTS_HELD)
+        assert sum(map(forbidden._endpoint_entries, held)) <= HELD_ENTRIES
+        assert (n in held) == (forbidden._endpoint_entries(n) <= HELD_ENTRIES)
 
 
 def _flower(a=4, b=3):
@@ -222,6 +223,17 @@ def test_popular_intersection_search_takes_only_ints():
     # a negative budget is an int: no tuple fits in it
     with pytest.raises(BudgetExceededError):
         popular_intersection_search(g, 0, p, -1)
+
+
+def test_popular_intersection_search_builds_no_power_of_two():
+    # multiplicities are compared with 2^j as m >> j: 1 << 10**12 would need 125 GB
+    p = DetectorParams(6, 2)
+    tracemalloc.start()
+    try:
+        assert popular_intersection_search(rainbow(6), 10**12, p) is None
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_popular_search_matches_unpruned_scan():

@@ -24,6 +24,7 @@ from localprops import (
     min_colors,
     verify_local_property,
 )
+from localprops.coloring import HELD_ENTRIES
 from localprops.solver import _subset_checks
 from oracles import brute_min_colors_table, brute_verdict, reference_feasible
 
@@ -475,8 +476,8 @@ def test_a_held_table_solves_as_a_fresh_build():
 
 def test_held_tables_stay_within_their_budget():
     held, entries = solver_module._TABLES, solver_module._table_entries
-    budget = solver_module.TABLES_HELD
-    assert budget == solver_module.TABLE_LIMIT // 64
+    budget = HELD_ENTRIES  # the one budget of every held cache, forbidden's endpoint tables too
+    assert budget == 31_250
     held.clear()
     keys = [(n, k) for n in range(3, 31) for k in range(2, min(n, 5) + 1) if entries((n, k)) <= 2 * budget]
     for n, k in keys[::-1] + keys[::7]:
